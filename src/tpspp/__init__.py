@@ -1,9 +1,9 @@
 """Attention-enhanced thin-plate spline rectification."""
 
 from .tps import (ControlPointGrid, KernelMatrix, TpsTransform, build_kernel_matrix,
-                  kernel_u, make_grid, solve_transform)
+                  kernel_u, make_grid, output_lattice, solve_transform)
 from .warp import (AttentionMatrix, SamplingGrid, basis_vector, build_sampling_grid,
-                   map_point, output_lattice, warp)
+                   map_point, warp)
 from .network import (EncodedDecodedPair, FeatureBundle, WeightStore, aipe_forward,
                       cbam_forward, dgab_forward, init_weights, msfa_forward,
                       rectification_forward, rectifier_parameter_count, toy_backbone)
@@ -11,9 +11,9 @@ from .rectify import rectify_map, rectify_with_network
 
 __all__ = [
     "ControlPointGrid", "KernelMatrix", "TpsTransform", "build_kernel_matrix",
-    "kernel_u", "make_grid", "solve_transform",
+    "kernel_u", "make_grid", "output_lattice", "solve_transform",
     "AttentionMatrix", "SamplingGrid", "basis_vector", "build_sampling_grid",
-    "map_point", "output_lattice", "warp",
+    "map_point", "warp",
     "EncodedDecodedPair", "FeatureBundle", "WeightStore", "aipe_forward",
     "cbam_forward", "dgab_forward", "init_weights", "msfa_forward",
     "rectification_forward", "rectifier_parameter_count", "toy_backbone",

@@ -184,39 +184,42 @@ def import_grid_json(path):
     attention is None when the file stores null (treated as all-zero by
     callers choosing their own output lattice).
     """
-    with open(path) as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"invalid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"points file is not UTF-8 text: {exc}") from exc
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
+        raise FormatError(f"invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValidationError(f"points file must hold a JSON object, not {type(doc).__name__}")
     for field in ("rows", "cols", "base", "offsets", "lambda", "beta", "attention"):
         if field not in doc:
             raise ValidationError(f"missing field {field!r}")
-    rows, cols = int(doc["rows"]), int(doc["cols"])
+    try:
+        rows, cols = int(doc["rows"]), int(doc["cols"])
+        base = np.asarray(doc["base"], dtype=np.float64)
+        offsets = np.asarray(doc["offsets"], dtype=np.float64)
+        lam, beta = float(doc["lambda"]), float(doc["beta"])
+        scores = None if doc["attention"] is None else np.asarray(doc["attention"], dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"malformed points field: {exc}") from exc
     if rows < 1 or cols < 1 or rows * cols < 2:
         raise ValidationError(f"invalid grid extents {rows}x{cols}")
     k = rows * cols
-    base = np.asarray(doc["base"], dtype=np.float64)
-    offsets = np.asarray(doc["offsets"], dtype=np.float64)
     if base.shape != (k, 2):
         raise ValidationError(f"base shape {base.shape} != ({k}, 2)")
     if offsets.shape != (k, 2):
         raise ValidationError(f"offsets shape {offsets.shape} != ({k}, 2)")
-    lattice = make_grid(rows, cols).base
-    if np.abs(base - lattice).max() > 1e-9:
+    grid = make_grid(rows, cols)
+    if np.abs(base - grid.base).max() > 1e-9:
         raise ValidationError("base points do not form the uniform [-1,1] lattice")
     if not np.all(np.isfinite(offsets)):
         raise ValidationError("offsets contain non-finite values")
-    grid = make_grid(rows, cols).with_offsets(offsets)
 
     attention = None
-    if doc["attention"] is not None:
-        scores = np.asarray(doc["attention"], dtype=np.float64)
+    if scores is not None:
         if scores.ndim != 2 or scores.shape[1] != k:
             raise ValidationError(f"attention shape {scores.shape} incompatible with K={k}")
-        bad = np.argwhere(~(np.abs(scores) < 1.0))
-        if bad.size:
-            i, j = bad[0]
-            raise ValidationError(f"attention score out of (-1,1) at row {i}, col {j}")
         attention = AttentionMatrix(scores)
-    return grid, attention, float(doc["lambda"]), float(doc["beta"])
+    return grid.with_offsets(offsets), attention, lam, beta

@@ -77,7 +77,6 @@ class FeatureBundle:
 class EncodedDecodedPair:
     f_e: np.ndarray  # D x 4 x 16
     f_d: np.ndarray  # D x 16 x 64
-    d: int = D
 
 
 # name -> shape of every parameter the forward passes read.

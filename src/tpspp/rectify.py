@@ -7,20 +7,17 @@ from .errors import ValidationError
 from .tps import solve_transform
 from .warp import AttentionMatrix, build_sampling_grid, warp
 
-ZERO_ATTENTION = None  # sentinel meaning "all-zero scores at any lattice"
-
 
 def attention_for_lattice(attention, out_h, out_w):
     """Return scores aligned with an out_h x out_w output lattice.
 
-    None yields all-zero scores. Scores on the decoded 16x64 lattice are
-    nearest-neighbor resampled when the output lattice differs; any other
-    row count must match the lattice exactly.
+    None passes through, and build_sampling_grid reads it as all-zero
+    scores. Scores on the decoded 16x64 lattice are nearest-neighbor
+    resampled when the output lattice differs; any other row count must
+    match the lattice exactly.
     """
     m = out_h * out_w
-    if attention is None:
-        return None  # callers use zeros without materializing M x K
-    if attention.m_locations == m:
+    if attention is None or attention.m_locations == m:
         return attention
     if attention.m_locations == network.DEC_H * network.DEC_W:
         scores = attention.scores.reshape(network.DEC_H, network.DEC_W, -1)
@@ -37,8 +34,6 @@ def rectify_map(source, grid, attention, lam, beta, out_h, out_w, border="zeros"
     """Solve the transform for a regressed grid and warp a (C,H,W) map."""
     transform = solve_transform(grid, lam=lam, beta=beta)
     aligned = attention_for_lattice(attention, out_h, out_w)
-    if aligned is None:
-        aligned = AttentionMatrix.zeros(out_h * out_w, grid.k)
     sampling = build_sampling_grid(transform, aligned, out_h, out_w)
     return warp(source, sampling, border=border), sampling
 

@@ -12,8 +12,9 @@ import numpy as np
 from . import fileio, network, oracles, synth, tensor
 from .errors import FormatError, TpsError
 from .rectify import rectify_map
-from .tps import build_kernel_matrix, kernel_u, make_grid, solve_transform
-from .warp import SamplingGrid, map_point, output_lattice, warp
+from .tps import (build_kernel_matrix, interpolation_system, kernel_u, make_grid,
+                  output_lattice, solve_transform)
+from .warp import SamplingGrid, map_point, warp
 
 
 class SelfTestFailure(AssertionError):
@@ -54,14 +55,7 @@ def suite_solver_oracle():
     for seed in range(5):
         g = make_grid(4, 16).with_offsets(
             np.random.default_rng(seed).uniform(-0.1, 0.1, size=(64, 2)))
-        s = build_kernel_matrix(g).s
-        p = np.hstack([np.ones((64, 1)), g.base])
-        m = np.zeros((67, 67))
-        m[:64, :3] = p
-        m[:64, 3:] = s
-        m[64:, 3:] = p.T
-        rhs = np.zeros((67, 2))
-        rhs[:64] = g.regressed
+        m, rhs = interpolation_system(g)
         x = tensor.solve_linear(m, rhs)
         res = np.abs(m @ x - rhs).max()
         bound = 1e-6 * (1.0 + np.abs(rhs).max())

@@ -12,17 +12,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ShapeError, SingularMatrixError
 
 PIVOT_EPS = 1e-12
-MAX_RANK = 4
-
-
-def astensor(data, dtype=np.float32):
-    """Validate and return a rank-1..4 finite array of the given dtype."""
-    arr = np.asarray(data, dtype=dtype)
-    if arr.ndim < 1 or arr.ndim > MAX_RANK:
-        raise ShapeError(f"tensor rank must be 1..{MAX_RANK}, got {arr.ndim}")
-    if not np.all(np.isfinite(arr)):
-        raise ShapeError("tensor contains non-finite values")
-    return arr
 
 
 def matmul(a, b):

@@ -71,15 +71,20 @@ class TpsTransform:
         return self.centers.shape[0]
 
 
-def make_grid(rows, cols):
-    """Uniform lattice on [-1,1]^2; a degenerate axis sits at 0."""
-    if rows < 1 or cols < 1 or rows * cols < 2:
-        raise InvalidGridError(f"grid {rows}x{cols} has fewer than 2 points")
+def output_lattice(rows, cols):
+    """Row-major (rows*cols, 2) lattice on [-1,1]^2; a degenerate axis sits at 0."""
     xs = np.linspace(-1.0, 1.0, cols) if cols > 1 else np.zeros(1)
     ys = np.linspace(-1.0, 1.0, rows) if rows > 1 else np.zeros(1)
     gx, gy = np.meshgrid(xs, ys)  # row-major: k = i*cols + j
-    base = np.stack([gx.ravel(), gy.ravel()], axis=1)
-    return ControlPointGrid(rows, cols, _frozen(base), _frozen(np.zeros_like(base)))
+    return np.stack([gx.ravel(), gy.ravel()], axis=1)
+
+
+def make_grid(rows, cols):
+    """Control-point grid on the uniform rows x cols lattice, zero offsets."""
+    if rows < 1 or cols < 1 or rows * cols < 2:
+        raise InvalidGridError(f"grid {rows}x{cols} has fewer than 2 points")
+    base = _frozen(output_lattice(rows, cols))
+    return ControlPointGrid(rows, cols, base, _frozen(np.zeros_like(base)))
 
 
 def kernel_u(r):
@@ -93,34 +98,39 @@ def kernel_u(r):
     return float(out) if out.ndim == 0 else out
 
 
+def kernel_between(points, centers):
+    """(N, K) matrix of U(|p_n - c_k|) for (N, 2) points and (K, 2) centers."""
+    d = points[:, None, :] - centers[None, :, :]
+    r = np.sqrt((d * d).sum(axis=2))
+    del d  # N x K x 2; free it before kernel_u allocates its N x K temporaries
+    return kernel_u(r)
+
+
 def build_kernel_matrix(grid):
-    d = grid.base[:, None, :] - grid.base[None, :, :]
-    dist = np.sqrt((d * d).sum(axis=2))
-    s = kernel_u(dist)
-    np.fill_diagonal(s, 0.0)
-    return KernelMatrix(_frozen(s))
+    return KernelMatrix(_frozen(kernel_between(grid.base, grid.base)))
 
 
-def solve_transform(grid, lam=DEFAULT_LAMBDA, beta=DEFAULT_BETA):
-    """Solve the (K+3)x(K+3) interpolation system for the transform.
+def interpolation_system(grid):
+    """The (K+3)x(K+3) interpolation matrix and its (K+3, 2) right-hand side.
 
     Rows 0..K-1 enforce interpolation of the regressed points; the last
     three rows are the side conditions sum(w) = sum(w*x) = sum(w*y) = 0.
     """
     k = grid.k
-    s = build_kernel_matrix(grid).s
     p = np.hstack([np.ones((k, 1)), grid.base])  # (K, 3): [1, x, y]
-
     m = np.zeros((k + 3, k + 3))
     m[:k, :3] = p
-    m[:k, 3:] = s
+    m[:k, 3:] = build_kernel_matrix(grid).s
     m[k:, 3:] = p.T
-
     rhs = np.zeros((k + 3, 2))
     rhs[:k] = grid.regressed
+    return m, rhs
 
+
+def solve_transform(grid, lam=DEFAULT_LAMBDA, beta=DEFAULT_BETA):
+    """Solve the interpolation system of a regressed grid for the transform."""
     try:
-        w = tensor.solve_linear(m, rhs)  # (K+3, 2), columns = (x, y)
+        w = tensor.solve_linear(*interpolation_system(grid))  # (K+3, 2), columns = (x, y)
     except SingularMatrixError as exc:
         raise DegenerateGridError(f"control points yield a singular system: {exc}") from exc
     return TpsTransform(_frozen(w.T), grid.base, float(lam), float(beta))

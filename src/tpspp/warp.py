@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError, ValidationError
-from .tps import kernel_u
+from .tps import kernel_between, output_lattice
 
 
 @dataclass(frozen=True)
@@ -60,22 +60,13 @@ class SamplingGrid:
         object.__setattr__(self, "coords", c)
 
 
-def output_lattice(out_h, out_w):
-    """Row-major (M, 2) lattice of normalized output coordinates."""
-    xs = np.linspace(-1.0, 1.0, out_w) if out_w > 1 else np.zeros(1)
-    ys = np.linspace(-1.0, 1.0, out_h) if out_h > 1 else np.zeros(1)
-    gx, gy = np.meshgrid(xs, ys)
-    return np.stack([gx.ravel(), gy.ravel()], axis=1)
-
-
 def basis_vector(p, transform, attention_row):
     """[1, x, y, U(|p-c_k|) * (lam * a_k + beta) for each center k]."""
     p = np.asarray(p, dtype=np.float64)
     a = np.asarray(attention_row, dtype=np.float64)
     if a.shape != (transform.k,):
         raise ShapeError(f"attention row length {a.shape} != K={transform.k}")
-    d = transform.centers - p
-    u = kernel_u(np.sqrt((d * d).sum(axis=1)))
+    u = kernel_between(p[None, :], transform.centers)[0]
     return np.concatenate([[1.0, p[0], p[1]], u * (transform.lam * a + transform.beta)])
 
 
@@ -84,16 +75,23 @@ def map_point(p, transform, attention_row):
 
 
 def build_sampling_grid(transform, attention, out_h, out_w):
-    """Map the whole output lattice through the transform at once."""
+    """Map the whole output lattice through the transform at once.
+
+    attention=None stands for all-zero scores: every kernel term is then
+    scaled by beta alone.
+    """
     m = out_h * out_w
-    if attention.m_locations != m:
-        raise ShapeError(f"attention has {attention.m_locations} rows, lattice has {m}")
-    if attention.k_points != transform.k:
-        raise ShapeError(f"attention has {attention.k_points} cols, transform has K={transform.k}")
+    if attention is not None:
+        if attention.m_locations != m:
+            raise ShapeError(f"attention has {attention.m_locations} rows, lattice has {m}")
+        if attention.k_points != transform.k:
+            raise ShapeError(
+                f"attention has {attention.k_points} cols, transform has K={transform.k}")
     pts = output_lattice(out_h, out_w)  # (M, 2)
-    d = pts[:, None, :] - transform.centers[None, :, :]
-    u = kernel_u(np.sqrt((d * d).sum(axis=2)))  # (M, K)
-    basis = np.hstack([np.ones((m, 1)), pts, u * (transform.lam * attention.scores + transform.beta)])
+    u = kernel_between(pts, transform.centers)  # (M, K)
+    # scale in place: an M x K modulation alive next to kernel_u's temporaries raises peak memory
+    u *= transform.beta if attention is None else transform.lam * attention.scores + transform.beta
+    basis = np.hstack([np.ones((m, 1)), pts, u])
     return SamplingGrid(out_h, out_w, basis @ transform.t_matrix.T)
 
 

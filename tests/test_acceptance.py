@@ -9,7 +9,7 @@ from tpspp import fileio, network, oracles, synth, tensor
 from tpspp.errors import TpsError
 from tpspp.rectify import rectify_map
 from tpspp.selftest import run_all
-from tpspp.tps import build_kernel_matrix, make_grid, solve_transform
+from tpspp.tps import interpolation_system, make_grid, solve_transform
 from tpspp.warp import SamplingGrid, map_point, output_lattice, warp
 
 
@@ -84,14 +84,7 @@ def test_criterion_4_solver_oracle():
     for seed in range(10):
         g = make_grid(4, 16).with_offsets(
             np.random.default_rng(200 + seed).uniform(-0.1, 0.1, size=(64, 2)))
-        s = build_kernel_matrix(g).s
-        p = np.hstack([np.ones((64, 1)), g.base])
-        m = np.zeros((67, 67))
-        m[:64, :3] = p
-        m[:64, 3:] = s
-        m[64:, 3:] = p.T
-        rhs = np.zeros((67, 2))
-        rhs[:64] = g.regressed
+        m, rhs = interpolation_system(g)
         x = tensor.solve_linear(m, rhs)
         res = float(np.abs(m @ x - rhs).max())
         ok &= res <= 1e-6 * (1.0 + float(np.abs(rhs).max()))

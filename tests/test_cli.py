@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tpspp import fileio, network, synth
 from tpspp.cli import main
@@ -119,6 +121,34 @@ class TestRectify:
             assert run("rectify", "--image", str(stripe), "--points", str(pts),
                        "--out", str(o)) == 0
         assert o1.read_bytes() == o2.read_bytes()
+
+
+# any JSON document: scalars (NaN and infinities included), lists and objects
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=12)
+POINTS_FIELDS = ("rows", "cols", "base", "offsets", "lambda", "beta", "attention")
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    fileio.save_image(np.zeros((1, 4, 6), np.float32), d / "in.pgm")
+    fileio.export_grid_json(make_grid(2, 2), None, d / "valid.json")
+    return d
+
+
+@settings(max_examples=150, deadline=2000)
+@given(field=st.sampled_from(POINTS_FIELDS), value=JSON_VALUES)
+def test_points_fuzz_exit_codes(fuzz_dir, field, value):
+    doc = json.loads((fuzz_dir / "valid.json").read_text())
+    doc[field] = value
+    (fuzz_dir / "pts.json").write_text(json.dumps(doc))
+    code = run("rectify", "--image", str(fuzz_dir / "in.pgm"), "--points",
+               str(fuzz_dir / "pts.json"), "--out", str(fuzz_dir / "o.pgm"))
+    assert code in (0, 2, 3)
 
 
 class TestInspect:

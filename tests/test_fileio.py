@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from tpspp import fileio, network
+from tpspp.cli import main
 from tpspp.errors import (DuplicateEntryError, FormatError, TpsError, TruncationError,
                           ValidationError)
 from tpspp.tps import make_grid
@@ -144,6 +145,30 @@ class TestImages:
         assert p.read_bytes().endswith(bytes([128]))  # round(0.5*255) = 128
 
 
+def _points_doc(**fields):
+    grid = make_grid(2, 2)
+    doc = {"rows": 2, "cols": 2, "base": grid.base.tolist(), "offsets": grid.offsets.tolist(),
+           "lambda": 0.5, "beta": 1.0, "attention": None}
+    return json.dumps({**doc, **fields}).encode()
+
+
+# malformed points files: each must end in a typed error, never an untyped exception
+MALFORMED_POINTS = [
+    pytest.param(_points_doc(attention=[[0.0] * 4, [0.0]]), ValidationError, id="ragged-attention"),
+    pytest.param(_points_doc(offsets=[[0.0, 0.0], [0.0], [0.0, 0.0], [0.0, 0.0]]),
+                 ValidationError, id="ragged-offsets"),
+    pytest.param(_points_doc(rows="abc"), ValidationError, id="rows-string"),
+    pytest.param(_points_doc(rows=None), ValidationError, id="rows-null"),
+    pytest.param(_points_doc(**{"lambda": "x"}), ValidationError, id="lambda-string"),
+    pytest.param(_points_doc(**{"lambda": None}), ValidationError, id="lambda-null"),
+    pytest.param(_points_doc(attention="abc"), ValidationError, id="attention-string"),
+    pytest.param(b"5", ValidationError, id="top-level-number"),
+    pytest.param(b"null", ValidationError, id="top-level-null"),
+    pytest.param(b'{"rows": "\xff\xfe"}', FormatError, id="non-utf8"),
+    pytest.param(b"[" * 100000 + b"]" * 100000, FormatError, id="nesting-too-deep"),
+]
+
+
 class TestGridJson:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -204,3 +229,18 @@ class TestGridJson:
         p.write_text("{not json")
         with pytest.raises(FormatError):
             fileio.import_grid_json(p)
+
+    @pytest.mark.parametrize("blob, error", MALFORMED_POINTS)
+    def test_malformed_points_typed_error(self, tmp_path, blob, error):
+        p = tmp_path / "g.json"
+        p.write_bytes(blob)
+        with pytest.raises(error):
+            fileio.import_grid_json(p)
+
+    @pytest.mark.parametrize("blob, error", MALFORMED_POINTS)
+    def test_malformed_points_cli_exit_2(self, tmp_path, blob, error):
+        image, points = tmp_path / "in.pgm", tmp_path / "g.json"
+        fileio.save_image(np.zeros((1, 4, 6), np.float32), image)
+        points.write_bytes(blob)
+        assert main(["rectify", "--image", str(image), "--points", str(points),
+                     "--out", str(tmp_path / "o.pgm")]) == 2

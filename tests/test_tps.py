@@ -37,6 +37,10 @@ class TestMakeGrid:
         with pytest.raises(InvalidGridError):
             tps.make_grid(1, 1)
 
+    @pytest.mark.parametrize("rows, cols", [(1, 2), (1, 7), (3, 1), (2, 3), (4, 16)])
+    def test_base_is_output_lattice(self, rows, cols):
+        assert np.array_equal(tps.make_grid(rows, cols).base, tps.output_lattice(rows, cols))
+
 
 class TestKernelU:
     def test_zero(self):

@@ -106,8 +106,17 @@ class TestBuildSamplingGrid:
 
     def test_row_count_mismatch(self):
         _, t = random_transform(11)
-        with pytest.raises(ShapeError):
-            build_sampling_grid(t, AttentionMatrix.zeros(10, 64), 4, 4)
+        for att in (AttentionMatrix.zeros(10, 64), AttentionMatrix.zeros(16, 10)):
+            with pytest.raises(ShapeError):
+                build_sampling_grid(t, att, 4, 4)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 2.0])
+    @pytest.mark.parametrize("beta", [1.0, 0.7])
+    def test_null_attention_is_zero_scores(self, lam, beta):
+        _, t = random_transform(16, lam=lam, beta=beta)
+        zeros = build_sampling_grid(t, AttentionMatrix.zeros(6 * 8, 64), 6, 8)
+        null = build_sampling_grid(t, None, 6, 8)
+        assert null.coords.tobytes() == zeros.coords.tobytes()
 
 
 class TestWarp:
