@@ -8,6 +8,7 @@ TPSW layout (all integers u32 little-endian, floats IEEE-754 f32 LE):
 """
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -75,8 +76,8 @@ def load_weights(path):
         dims = [r.u32() for _ in range(rank)]
         if any(d == 0 for d in dims):
             raise FormatError(f"tensor {name!r} has a zero extent {dims}")
-        n = int(np.prod(dims))
-        payload = r.take(4 * n)
+        n = math.prod(dims)  # Python integers: np.prod of four u32 extents overflows int64
+        payload = r.take(4 * n)  # TruncationError when 4n exceeds the bytes left
         if name in tensors:
             raise DuplicateEntryError(f"duplicate tensor name {name!r}")
         tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(dims)

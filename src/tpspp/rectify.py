@@ -5,7 +5,7 @@ import numpy as np
 from . import network
 from .errors import ValidationError
 from .tps import solve_transform
-from .warp import AttentionMatrix, build_sampling_grid, warp
+from .warp import AttentionMatrix, build_sampling_grid, check_lattice, warp
 
 
 def attention_for_lattice(attention, out_h, out_w):
@@ -33,6 +33,7 @@ def attention_for_lattice(attention, out_h, out_w):
 def rectify_map(source, grid, attention, lam, beta, out_h, out_w, border="zeros"):
     """Solve the transform for a regressed grid and warp a (C,H,W) map."""
     transform = solve_transform(grid, lam=lam, beta=beta)
+    check_lattice(out_h, out_w, transform.k)  # before attention_for_lattice resamples to M x K
     aligned = attention_for_lattice(attention, out_h, out_w)
     sampling = build_sampling_grid(transform, aligned, out_h, out_w)
     return warp(source, sampling, border=border), sampling
@@ -45,29 +46,28 @@ def rectify_with_network(image, weights, grid, lam, beta, out_h, out_w, border="
     return warped, sampling, regressed, attention
 
 
+def _pixels(points, h, w):
+    """Rounded (col, row) pixels of normalized (N, 2) points; non-finite or outside ones dropped."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        px = np.rint((points[:, 0] + 1.0) / 2.0 * (w - 1))
+        py = np.rint((points[:, 1] + 1.0) / 2.0 * (h - 1))
+    inside = (px >= 0) & (px < w) & (py >= 0) & (py < h)  # False for NaN
+    return zip(px[inside].astype(int), py[inside].astype(int))
+
+
 def annotate_points(image, grid, radius=1):
     """Copy of a (1,H,W) image with regressed points marked bright."""
     img = np.array(image[0], dtype=np.float32)
     h, w = img.shape
-    for x, y in grid.regressed:
-        cx = int(round((x + 1.0) / 2.0 * (w - 1)))
-        cy = int(round((y + 1.0) / 2.0 * (h - 1)))
-        y0, y1 = max(cy - radius, 0), min(cy + radius + 1, h)
-        x0, x1 = max(cx - radius, 0), min(cx + radius + 1, w)
-        if y0 < y1 and x0 < x1:
-            img[y0:y1, x0:x1] = 1.0
+    for cx, cy in _pixels(grid.regressed, h, w):
+        img[max(cy - radius, 0):cy + radius + 1, max(cx - radius, 0):cx + radius + 1] = 1.0
     return img[None, :, :]
 
 
 def deformation_grid_image(sampling, src_h, src_w, step=4):
     """Source-sized map with every step-th sampled location marked."""
     img = np.zeros((src_h, src_w), dtype=np.float32)
-    coords = sampling.coords.reshape(sampling.height, sampling.width, 2)
-    for i in range(0, sampling.height, step):
-        for j in range(0, sampling.width, step):
-            x, y = coords[i, j]
-            px = int(round((x + 1.0) / 2.0 * (src_w - 1)))
-            py = int(round((y + 1.0) / 2.0 * (src_h - 1)))
-            if 0 <= px < src_w and 0 <= py < src_h:
-                img[py, px] = 1.0
+    coords = sampling.coords.reshape(sampling.height, sampling.width, 2)[::step, ::step]
+    for px, py in _pixels(coords.reshape(-1, 2), src_h, src_w):
+        img[py, px] = 1.0
     return img[None, :, :]

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor
-from .errors import DegenerateGridError, DomainError, InvalidGridError, SingularMatrixError
+from .errors import (DegenerateGridError, DomainError, InvalidGridError, SingularMatrixError,
+                     ValidationError)
 
 DEFAULT_ROWS = 4
 DEFAULT_COLS = 16
@@ -128,9 +129,19 @@ def interpolation_system(grid):
 
 
 def solve_transform(grid, lam=DEFAULT_LAMBDA, beta=DEFAULT_BETA):
-    """Solve the interpolation system of a regressed grid for the transform."""
+    """Solve the interpolation system of a regressed grid for the transform.
+
+    Non-finite lam or beta raise ValidationError; a singular system or a
+    non-finite solution raises DegenerateGridError.
+    """
+    lam, beta = float(lam), float(beta)
+    if not (np.isfinite(lam) and np.isfinite(beta)):
+        raise ValidationError(f"lambda and beta must be finite, got {lam} and {beta}")
     try:
-        w = tensor.solve_linear(*interpolation_system(grid))  # (K+3, 2), columns = (x, y)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite solution raises below
+            w = tensor.solve_linear(*interpolation_system(grid))  # (K+3, 2), columns = (x, y)
     except SingularMatrixError as exc:
         raise DegenerateGridError(f"control points yield a singular system: {exc}") from exc
-    return TpsTransform(_frozen(w.T), grid.base, float(lam), float(beta))
+    if not np.all(np.isfinite(w)):
+        raise DegenerateGridError("control points yield a non-finite transform")
+    return TpsTransform(_frozen(w.T), grid.base, lam, beta)

@@ -10,8 +10,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError, ValidationError
+from .errors import DegenerateGridError, ShapeError, ValidationError
 from .tps import kernel_between, output_lattice
+
+# A rectification keeps at most six float64 M x K arrays alive at once (the resampled
+# scores, the kernel, and kernel_u's temporaries; measured with tracemalloc), so M x K
+# is capped to hold that peak under 4 GiB: 89_478_485 entries, e.g. a 1280x960 output
+# with the default 64 control points
+SAMPLING_PEAK_BYTES = 4 << 30
+MXK_ARRAYS_AT_PEAK = 6
+MAX_KERNEL_ENTRIES = SAMPLING_PEAK_BYTES // (8 * MXK_ARRAYS_AT_PEAK)
 
 
 @dataclass(frozen=True)
@@ -46,7 +54,10 @@ class AttentionMatrix:
 
 @dataclass(frozen=True)
 class SamplingGrid:
-    """Per output location, the normalized source coordinate to sample."""
+    """Per output location, the normalized source coordinate to sample.
+
+    A non-finite coordinate raises DegenerateGridError.
+    """
 
     height: int
     width: int
@@ -56,6 +67,8 @@ class SamplingGrid:
         c = np.asarray(self.coords, dtype=np.float64)
         if c.shape != (self.height * self.width, 2):
             raise ShapeError(f"coords shape {c.shape} != ({self.height * self.width}, 2)")
+        if not np.all(np.isfinite(c)):
+            raise DegenerateGridError("a sampling coordinate is not finite")
         c.flags.writeable = False
         object.__setattr__(self, "coords", c)
 
@@ -74,12 +87,27 @@ def map_point(p, transform, attention_row):
     return transform.t_matrix @ basis_vector(p, transform, attention_row)
 
 
+def check_lattice(out_h, out_w, k):
+    """Reject output extents below 1 and an M x K kernel above MAX_KERNEL_ENTRIES.
+
+    Called before anything of the output lattice's size is allocated.
+    """
+    if out_h < 1 or out_w < 1:
+        raise ValidationError(f"output extents must be >= 1, got {out_h}x{out_w}")
+    if out_h * out_w * k > MAX_KERNEL_ENTRIES:
+        raise ValidationError(
+            f"output {out_h}x{out_w} with K={k} needs {out_h * out_w * k} kernel entries, "
+            f"above the budget of {MAX_KERNEL_ENTRIES}")
+
+
 def build_sampling_grid(transform, attention, out_h, out_w):
     """Map the whole output lattice through the transform at once.
 
     attention=None stands for all-zero scores: every kernel term is then
-    scaled by beta alone.
+    scaled by beta alone. A non-finite source coordinate raises
+    DegenerateGridError from SamplingGrid.
     """
+    check_lattice(out_h, out_w, transform.k)
     m = out_h * out_w
     if attention is not None:
         if attention.m_locations != m:
@@ -89,10 +117,13 @@ def build_sampling_grid(transform, attention, out_h, out_w):
                 f"attention has {attention.k_points} cols, transform has K={transform.k}")
     pts = output_lattice(out_h, out_w)  # (M, 2)
     u = kernel_between(pts, transform.centers)  # (M, K)
-    # scale in place: an M x K modulation alive next to kernel_u's temporaries raises peak memory
-    u *= transform.beta if attention is None else transform.lam * attention.scores + transform.beta
-    basis = np.hstack([np.ones((m, 1)), pts, u])
-    return SamplingGrid(out_h, out_w, basis @ transform.t_matrix.T)
+    lam, beta = transform.lam, transform.beta
+    with np.errstate(over="ignore", invalid="ignore"):  # SamplingGrid rejects non-finite coords
+        # scale in place: an M x K modulation beside kernel_u's temporaries raises peak memory
+        u *= beta if attention is None else lam * attention.scores + beta
+        basis = np.hstack([np.ones((m, 1)), pts, u])
+        coords = basis @ transform.t_matrix.T
+    return SamplingGrid(out_h, out_w, coords)
 
 
 def warp(source, grid, border="zeros"):
@@ -107,11 +138,14 @@ def warp(source, grid, border="zeros"):
     if border not in ("zeros", "clamp"):
         raise ValidationError(f"unknown border policy {border!r}")
     _, h, w = source.shape
-    xs = (grid.coords[:, 0] + 1.0) / 2.0 * (w - 1)
-    ys = (grid.coords[:, 1] + 1.0) / 2.0 * (h - 1)
-    if border == "clamp":
-        xs = np.clip(xs, 0.0, w - 1)
-        ys = np.clip(ys, 0.0, h - 1)
+    # with zeros, a coordinate a pixel or more outside reads nothing but zeros, so clipping
+    # it to one pixel outside changes no output and keeps huge ones clear of the int64 cast
+    lo = 0.0 if border == "clamp" else -1.0
+    with np.errstate(over="ignore"):
+        xs = (grid.coords[:, 0] + 1.0) / 2.0 * (w - 1)
+        ys = (grid.coords[:, 1] + 1.0) / 2.0 * (h - 1)
+    np.clip(xs, lo, w - 1 - lo, out=xs)
+    np.clip(ys, lo, h - 1 - lo, out=ys)
 
     x0 = np.floor(xs).astype(np.int64)
     y0 = np.floor(ys).astype(np.int64)

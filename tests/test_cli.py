@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from tpspp import fileio, network, synth
 from tpspp.cli import main
 from tpspp.tps import make_grid
+from tpspp.warp import AttentionMatrix
 
 
 def run(*argv):
@@ -113,6 +114,46 @@ class TestRectify:
                    "--out", str(out), "--out-size", "16x64") == 0
         assert fileio.load_image(out).shape == (1, 16, 64)
 
+    @pytest.mark.parametrize("source", ["--points", "--weights"])
+    @pytest.mark.parametrize("args", [
+        ["--lambda", "nan"], ["--beta", "inf"], ["--beta=-inf"],
+        ["--out-size", "0x5"], ["--out-size", "5x0"],
+        ["--out-size", "100000x100000"],  # over the M x K budget, never allocated
+    ])
+    def test_rejected_without_output(self, tmp_path, stripe, source, args):
+        if source == "--points":
+            path = tmp_path / "pts.json"
+            fileio.export_grid_json(synth.counter_offsets(make_grid(4, 16)), None, path)
+        else:
+            path = tmp_path / "w.tpsw"
+            fileio.save_weights(network.init_weights(0), path)
+        out = tmp_path / "out.pgm"
+        assert run("rectify", "--image", str(stripe), source, str(path), "--out", str(out),
+                   "--overlay", *args) == 2
+        assert not list(tmp_path.glob("out*"))
+
+    def test_non_finite_transform_exit_3(self, tmp_path, stripe):
+        pts = tmp_path / "pts.json"
+        signs = np.random.default_rng(0).choice([-1.0, 1.0], (64, 2))
+        fileio.export_grid_json(make_grid(4, 16).with_offsets(1e308 * signs), None, pts)
+        out = tmp_path / "out.pgm"
+        assert run("rectify", "--image", str(stripe), "--points", str(pts), "--out", str(out),
+                   "--overlay") == 3
+        assert not list(tmp_path.glob("out*"))
+
+    def test_overlay_points_far_outside(self, tmp_path, stripe):
+        # every control point lands far outside the image: the warp reads only the zero
+        # border and neither overlay marks anything
+        pts = tmp_path / "pts.json"
+        fileio.export_grid_json(make_grid(4, 16).with_offsets(np.full((64, 2), 1e308)), None, pts)
+        out = tmp_path / "out.pgm"
+        assert run("rectify", "--image", str(stripe), "--points", str(pts), "--out", str(out),
+                   "--overlay") == 0
+        assert not fileio.load_image(out).any()
+        assert np.array_equal(fileio.load_image(tmp_path / "out_points.pgm"),
+                              fileio.load_image(stripe))
+        assert not fileio.load_image(tmp_path / "out_grid.pgm").any()
+
     def test_reproducible(self, tmp_path, stripe):
         pts = tmp_path / "pts.json"
         fileio.export_grid_json(synth.counter_offsets(make_grid(4, 16)), None, pts)
@@ -137,18 +178,42 @@ def fuzz_dir(tmp_path_factory):
     d = tmp_path_factory.mktemp("fuzz")
     fileio.save_image(np.zeros((1, 4, 6), np.float32), d / "in.pgm")
     fileio.export_grid_json(make_grid(2, 2), None, d / "valid.json")
+    # attention on the 4x6 source lattice, so lambda reaches the kernel terms
+    scores = np.random.default_rng(0).uniform(-0.9, 0.9, (24, 4))
+    fileio.export_grid_json(make_grid(2, 2), AttentionMatrix(scores), d / "att.json")
     return d
 
 
 @settings(max_examples=150, deadline=2000)
-@given(field=st.sampled_from(POINTS_FIELDS), value=JSON_VALUES)
-def test_points_fuzz_exit_codes(fuzz_dir, field, value):
+@given(field=st.sampled_from(POINTS_FIELDS), value=JSON_VALUES, overlay=st.booleans())
+def test_points_fuzz_exit_codes(fuzz_dir, field, value, overlay):
     doc = json.loads((fuzz_dir / "valid.json").read_text())
     doc[field] = value
     (fuzz_dir / "pts.json").write_text(json.dumps(doc))
     code = run("rectify", "--image", str(fuzz_dir / "in.pgm"), "--points",
-               str(fuzz_dir / "pts.json"), "--out", str(fuzz_dir / "o.pgm"))
+               str(fuzz_dir / "pts.json"), "--out", str(fuzz_dir / "o.pgm"),
+               *(["--overlay"] if overlay else []))
     assert code in (0, 2, 3)
+
+
+# HxW strings: well-formed small and over-budget extents, and arbitrary text; each large
+# extent is over the M x K budget at K = 4 on its own, so no example allocates it
+OUT_SIZES = st.none() | st.text(max_size=8) | st.builds(
+    "{}x{}".format, st.integers(-2, 40) | st.sampled_from([10**8, 2**32, 10**12]),
+    st.integers(-2, 40) | st.sampled_from([10**8, 2**32, 10**12]))
+
+
+@settings(max_examples=150, deadline=2000)
+@given(lam=st.floats(), beta=st.floats(), out_size=OUT_SIZES, overlay=st.booleans())
+def test_parameter_fuzz_exit_codes(fuzz_dir, lam, beta, out_size, overlay):
+    for old in fuzz_dir.glob("p*.pgm"):
+        old.unlink()
+    argv = ["rectify", "--image", str(fuzz_dir / "in.pgm"), "--points", str(fuzz_dir / "att.json"),
+            "--out", str(fuzz_dir / "p.pgm"), f"--lambda={lam!r}", f"--beta={beta!r}"]
+    code = run(*argv, *([f"--out-size={out_size}"] if out_size is not None else []),
+               *(["--overlay"] if overlay else []))
+    assert code in (0, 2, 3)
+    assert (fuzz_dir / "p.pgm").exists() == (code == 0)
 
 
 class TestInspect:

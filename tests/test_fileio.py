@@ -70,6 +70,16 @@ class TestWeights:
         with pytest.raises(DuplicateEntryError):
             fileio.load_weights(p)
 
+    # extents whose product overflows int64: it wraps to a negative number and to exactly 0
+    @pytest.mark.parametrize("dims", [(2**32 - 1,) * 4, (2**16,) * 4])
+    def test_overflowing_extents_truncation(self, tmp_path, dims):
+        p = tmp_path / "w.tpsw"
+        p.write_bytes(b"TPSW" + struct.pack("<III", 1, 1, 1) + b"a"
+                      + struct.pack("<5I", 4, *dims) + struct.pack("<f", 0.0))
+        with pytest.raises(TruncationError):
+            fileio.load_weights(p)
+        assert main(["inspect", "--weights", str(p)]) == 2
+
     def test_corruption_fuzz(self, tmp_path):
         fileio.save_weights(network.init_weights(0), tmp_path / "w.tpsw")
         blob = (tmp_path / "w.tpsw").read_bytes()

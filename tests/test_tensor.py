@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tpspp import tensor
+from tpspp import network, tensor
 from tpspp.errors import ShapeError, SingularMatrixError
 from tpspp.oracles import conv2d_loops, gauss_solve_full_pivot
 
@@ -111,6 +111,59 @@ class TestConv2d:
         with pytest.raises(ShapeError):
             tensor.conv2d(np.zeros((1, 2, 2), np.float32),
                           np.zeros((1, 1, 5, 5), np.float32), np.zeros(1, np.float32))
+
+
+# (stride, pad) of every distinct convolution in network.py; shapes come from WEIGHT_MANIFEST
+NETWORK_CONVS = {
+    "backbone.conv1": (1, 1), "backbone.conv2": (2, 1), "backbone.conv3": (1, 1),
+    "msfa.align1": (1, 0), "msfa.align2": (1, 0), "msfa.align3": (1, 0),
+    "msfa.layer1": (1, 0), "msfa.layer2": (2, 1), "msfa.layer5": (1, 1),
+    "msfa.cbam.spatial": (1, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NETWORK_CONVS))
+def test_conv_loop_oracle_at_network_widths(name):
+    # layer3 shares layer2's (64, 64, 3, 3) stride 2, and layer6/7 share layer5's
+    stride, pad = NETWORK_CONVS[name]
+    o, c, kh, kw = network.WEIGHT_MANIFEST[f"{name}.weight"]
+    rng = np.random.default_rng(sum(name.encode()))
+    x = rng.uniform(0.0, 1.0, (c, 3, 5)).astype(np.float32)
+    k = rng.uniform(-0.05, 0.05, (o, c, kh, kw)).astype(np.float32)  # init_weights' range
+    b = rng.uniform(-0.05, 0.05, o).astype(np.float32)
+    got = tensor.conv2d(x, k, b, stride=stride, pad=pad)
+    want = conv2d_loops(x, k, b, stride=stride, pad=pad)
+    assert got.dtype == np.float32 and got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-6
+
+
+@st.composite
+def conv_cases(draw):
+    c, o = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    h, w = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    stride, pad = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    if draw(st.booleans()):  # the kernel exactly fills the padded input: a 1x1 output
+        kh, kw = h + 2 * pad, w + 2 * pad
+    else:
+        kh, kw = draw(st.integers(1, h + 2 * pad)), draw(st.integers(1, w + 2 * pad))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return c, o, h, w, kh, kw, stride, pad, seed
+
+
+@settings(max_examples=150, deadline=None)
+@given(conv_cases())
+def test_conv_loop_oracle_property(case):
+    c, o, h, w, kh, kw, stride, pad, seed = case
+    rng = np.random.default_rng(seed)
+    # small enough that float32 rounding of a sum of up to 432 terms stays below 1e-6
+    x = rng.uniform(-1.0, 1.0, (c, h, w)).astype(np.float32)
+    k = rng.uniform(-0.1, 0.1, (o, c, kh, kw)).astype(np.float32)
+    b = rng.uniform(-0.1, 0.1, o).astype(np.float32)
+    got = tensor.conv2d(x, k, b, stride=stride, pad=pad)
+    want = conv2d_loops(x, k, b, stride=stride, pad=pad)
+    assert got.shape == want.shape == (o, (h + 2 * pad - kh) // stride + 1,
+                                       (w + 2 * pad - kw) // stride + 1)
+    assert np.abs(got - want).max() <= 1e-6
 
 
 class TestUpsample:

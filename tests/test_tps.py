@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from tpspp import tps
-from tpspp.errors import DegenerateGridError, DomainError, InvalidGridError
+from tpspp.errors import DegenerateGridError, DomainError, InvalidGridError, ValidationError
 from tpspp.warp import map_point
 
 
@@ -142,3 +143,17 @@ class TestSolveTransform:
     def test_defaults(self):
         t = tps.solve_transform(tps.make_grid(4, 16))
         assert t.lam == 0.5 and t.beta == 1.0
+
+    @pytest.mark.parametrize("lam, beta", [(float("nan"), 1.0), (0.5, float("inf")),
+                                           (0.5, float("-inf")), (float("-inf"), float("nan"))])
+    def test_non_finite_lambda_beta_rejected(self, lam, beta):
+        with pytest.raises(ValidationError):
+            tps.solve_transform(tps.make_grid(4, 16), lam=lam, beta=beta)
+
+    def test_overflowing_solution_degenerate_without_warnings(self):
+        signs = np.random.default_rng(0).choice([-1.0, 1.0], (64, 2))
+        grid = tps.make_grid(4, 16).with_offsets(1e308 * signs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the solver's overflow is checked, not reported
+            with pytest.raises(DegenerateGridError):
+                tps.solve_transform(grid)

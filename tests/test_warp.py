@@ -1,11 +1,16 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
 from tpspp import tps
-from tpspp.errors import ShapeError, ValidationError
+from tpspp.errors import DegenerateGridError, ShapeError, ValidationError
 from tpspp.oracles import ClassicTps, bilinear_sample_scalar
-from tpspp.warp import (AttentionMatrix, SamplingGrid, basis_vector, build_sampling_grid,
-                        map_point, output_lattice, warp)
+from tpspp.rectify import annotate_points, deformation_grid_image, rectify_map
+from tpspp.warp import (MAX_KERNEL_ENTRIES, MXK_ARRAYS_AT_PEAK, AttentionMatrix, SamplingGrid,
+                        basis_vector, build_sampling_grid, check_lattice, map_point,
+                        output_lattice, warp)
 
 
 def random_transform(seed, rows=4, cols=16, lam=0.5, beta=1.0):
@@ -118,6 +123,76 @@ class TestBuildSamplingGrid:
         null = build_sampling_grid(t, None, 6, 8)
         assert null.coords.tobytes() == zeros.coords.tobytes()
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_coordinate_degenerate(self, bad):
+        _, t = random_transform(17)
+        t_matrix = t.t_matrix.copy()
+        t_matrix[1, 5] = bad
+        broken = tps.TpsTransform(t_matrix, t.centers, t.lam, t.beta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateGridError):
+                build_sampling_grid(broken, None, 6, 8)
+
+    @pytest.mark.parametrize("out_h, out_w", [(0, 5), (5, 0), (-1, 4)])
+    def test_empty_extents_rejected(self, out_h, out_w):
+        _, t = random_transform(18)
+        with pytest.raises(ValidationError):
+            build_sampling_grid(t, None, out_h, out_w)
+
+    def test_budget_rejected_before_allocation(self):
+        g, t = random_transform(19)
+        side = 1 << 20  # 2^40 lattice locations: 512 TiB per float64 M x K array
+        assert side * side * t.k > MAX_KERNEL_ENTRIES
+        # scores on the decoded 16x64 lattice, which rectify_map would resample to M x K
+        att = AttentionMatrix(np.random.default_rng(19).uniform(-0.9, 0.9, (1024, t.k)))
+        tracemalloc.start()
+        try:
+            for call in (lambda: build_sampling_grid(t, None, side, side),
+                         lambda: rectify_map(np.zeros((1, 4, 4)), g, att, 0.5, 1.0, side, side)):
+                with pytest.raises(ValidationError):
+                    call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_budget_admits_vga_at_source_extents(self):
+        check_lattice(480, 640, 64)  # --out-size defaults to the source extents
+        with pytest.raises(ValidationError):
+            check_lattice(100000, 100000, 64)
+
+    def test_peak_memory_within_budget_model(self):
+        # the budget assumes MXK_ARRAYS_AT_PEAK float64 M x K arrays alive at once; the
+        # half array of slack covers the lattice, the coordinates and the basis's 3 columns
+        g = tps.make_grid(4, 16)
+        att = AttentionMatrix(np.random.default_rng(20).uniform(-0.9, 0.9, (1024, 64)))
+        out_h, out_w = 32, 256
+        tracemalloc.start()
+        try:
+            rectify_map(np.zeros((1, 4, 4)), g, att, 0.5, 1.0, out_h, out_w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (MXK_ARRAYS_AT_PEAK + 0.5) * out_h * out_w * 64
+
+
+class TestOverlays:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 1e308, 0.2])  # 0.2: just outside
+    def test_points_outside_or_non_finite_skipped(self, bad):
+        g = tps.make_grid(2, 2)
+        g = g.with_offsets(np.array([[0.0, 0.0], [bad, 0.0], [0.0, bad], [0.0, 0.0]]))
+        img = annotate_points(np.zeros((1, 9, 9), np.float32), g)
+        want = np.zeros((9, 9), np.float32)
+        want[:2, :2] = want[7:, 7:] = 1.0  # corner markers of points 0 and 3 only
+        assert np.array_equal(img[0], want)
+
+    @pytest.mark.parametrize("bad", [1e308, -1e308, 5.0, -1.5])
+    def test_grid_locations_outside_skipped(self, bad):
+        coords = np.array([[-1.0, -1.0], [bad, 0.0], [0.0, bad], [1.0, 1.0]])
+        img = deformation_grid_image(SamplingGrid(1, 4, coords), 5, 7, step=1)
+        assert np.array_equal(np.argwhere(img[0] == 1.0), [[0, 0], [4, 6]])
+
 
 class TestWarp:
     def test_identity_passthrough(self):
@@ -153,6 +228,21 @@ class TestWarp:
         src = np.full((1, 4, 4), 0.75, dtype=np.float32)
         grid = SamplingGrid(1, 1, np.array([[5.0, 5.0]]))
         assert abs(float(warp(src, grid, border="clamp")[0, 0, 0]) - 0.75) <= 1e-6
+
+    @pytest.mark.parametrize("border", ["zeros", "clamp"])
+    def test_huge_finite_coordinates(self, border):
+        src = np.random.default_rng(14).uniform(0, 1, size=(2, 4, 5)).astype(np.float32)
+        far = np.array([[1e308, -1e308], [-1e300, 3e19], [1e19, 0.5], [-7.0, 1e308]])
+        near = np.array([[1.5, -1.5], [-1.5, 1.5], [1.5, 0.5], [-1.5, 1.5]])  # same sides
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow or int64-cast warnings
+            got = warp(src, SamplingGrid(1, 4, far), border=border)
+        assert got.tobytes() == warp(src, SamplingGrid(1, 4, near), border=border).tobytes()
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_coordinates_unconstructible(self, bad):
+        with pytest.raises(DegenerateGridError):
+            SamplingGrid(1, 2, np.array([[0.0, 0.0], [0.5, bad]]))
 
     def test_unknown_border(self):
         src = np.zeros((1, 2, 2), dtype=np.float32)
