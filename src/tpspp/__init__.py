@@ -1,6 +1,6 @@
 """Attention-enhanced thin-plate spline rectification."""
 
-from .tps import (ControlPointGrid, KernelMatrix, TpsTransform, build_kernel_matrix,
+from .tps import (ControlPointGrid, TpsTransform, build_kernel_matrix,
                   kernel_u, make_grid, output_lattice, solve_transform)
 from .warp import (AttentionMatrix, SamplingGrid, basis_vector, build_sampling_grid,
                    map_point, warp)
@@ -10,7 +10,7 @@ from .network import (EncodedDecodedPair, FeatureBundle, WeightStore, aipe_forwa
 from .rectify import rectify_map, rectify_with_network
 
 __all__ = [
-    "ControlPointGrid", "KernelMatrix", "TpsTransform", "build_kernel_matrix",
+    "ControlPointGrid", "TpsTransform", "build_kernel_matrix",
     "kernel_u", "make_grid", "output_lattice", "solve_transform",
     "AttentionMatrix", "SamplingGrid", "basis_vector", "build_sampling_grid",
     "map_point", "warp",

@@ -48,6 +48,7 @@ def _sibling(path, suffix):
 def cmd_rectify(args):
     if (args.points is None) == (args.weights is None):
         raise ValidationError("exactly one of --points / --weights is required")
+    grid_shape = None if args.grid is None else _parse_pair(args.grid, "x", "--grid")
     image = fileio.load_image(args.image)
     src_h, src_w = image.shape[1], image.shape[2]
     out_h, out_w = (src_h, src_w) if args.out_size is None \
@@ -57,16 +58,17 @@ def cmd_rectify(args):
         grid, attention, file_lam, file_beta = fileio.import_grid_json(args.points)
         lam = file_lam if args.lam is None else args.lam
         beta = file_beta if args.beta is None else args.beta
-        if args.grid is not None:
-            rows, cols = _parse_pair(args.grid, "x", "--grid")
-            if (rows, cols) != (grid.rows, grid.cols):
-                raise ValidationError(
-                    f"--grid {rows}x{cols} conflicts with points file {grid.rows}x{grid.cols}")
+        if grid_shape not in (None, (grid.rows, grid.cols)):
+            raise ValidationError(f"--grid {args.grid} conflicts with points file "
+                                  f"{grid.rows}x{grid.cols}")
         out, sampling = rectify_map(image, grid, attention, lam, beta,
                                     out_h, out_w, border=args.border)
     else:
-        rows, cols = (DEFAULT_ROWS, DEFAULT_COLS) if args.grid is None \
-            else _parse_pair(args.grid, "x", "--grid")
+        rows, cols = grid_shape or (DEFAULT_ROWS, DEFAULT_COLS)
+        # the offset head regresses one point per encoded location; checked before make_grid
+        if rows * cols != network.ENC_H * network.ENC_W:
+            raise ValidationError(f"--grid {rows}x{cols} has {rows * cols} points, the network "
+                                  f"regresses {network.ENC_H * network.ENC_W}")
         lam = DEFAULT_LAMBDA if args.lam is None else args.lam
         beta = DEFAULT_BETA if args.beta is None else args.beta
         weights = fileio.load_weights(args.weights)
@@ -82,7 +84,12 @@ def cmd_rectify(args):
 
 
 def cmd_synth(args):
-    img = synth.make_stripe_image(args.seed, amplitude=args.amplitude, noise=args.noise)
+    # pixels are clipped to [0, 1], so a larger noise only saturates them
+    if args.seed < 0 or not np.isfinite(args.amplitude) or not 0.0 <= args.noise <= 1.0:
+        raise ValidationError(f"need --seed >= 0, a finite --amplitude and --noise in [0, 1], "
+                              f"got {args.seed}, {args.amplitude} and {args.noise}")
+    # abs: -0.0 passes the range check, but the noise draw would read it as low > high
+    img = synth.make_stripe_image(args.seed, amplitude=args.amplitude, noise=abs(args.noise))
     fileio.save_image(img, args.out)
     return EXIT_OK
 

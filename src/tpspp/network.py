@@ -203,7 +203,7 @@ def cbam_forward(x, w, prefix="msfa.cbam"):
     gate_c = tensor.sigmoid(mlp(avg) + mlp(mx))
     x = x * gate_c[:, None, None]
 
-    stat = np.stack([x.mean(axis=0, dtype=np.float64).astype(x.dtype), x.max(axis=0)])
+    stat = np.stack([tensor.reduce_mean(x, 0), x.max(axis=0)])
     gate_s = tensor.sigmoid(tensor.conv2d(stat, w[f"{prefix}.spatial.weight"],
                                           w[f"{prefix}.spatial.bias"], stride=1, pad=3))
     return x * gate_s[0]
@@ -259,8 +259,8 @@ def dgab_forward(pair, w):
                               + w[f"dgab.gate_{name}.bias"][0])
         return tensor.softmax(aligned, axis=1) * gate[:, None]
 
-    s_w = branch(f_d.mean(axis=1, dtype=np.float64).astype(f_d.dtype).T, "w")  # W_d x D
-    s_h = branch(f_d.mean(axis=2, dtype=np.float64).astype(f_d.dtype).T, "h")  # H_d x D
+    s_w = branch(tensor.reduce_mean(f_d, 1).T, "w")  # W_d x D
+    s_h = branch(tensor.reduce_mean(f_d, 2).T, "h")  # H_d x D
 
     merged = s_w.T[:, None, :] + s_h.T[:, :, None]  # D x H_d x W_d
     return (merged * f_d).astype(f_d.dtype)
@@ -277,10 +277,8 @@ def aipe_forward(pair, w, grid):
 
     gated = dgab_forward(pair, w)  # D x H_d x W_d
     m_seq = gated.transpose(1, 2, 0).reshape(DEC_H * DEC_W, D)
-    scores = np.tanh(m_seq.astype(np.float64) @ fe_seq.astype(np.float64).T / np.sqrt(D))
-    # tanh rounds to +/-1.0 in floating point beyond |x| ~ 19; keep the
-    # open-interval contract
-    scores = np.clip(scores, np.nextafter(-1.0, 0.0), np.nextafter(1.0, 0.0))
+    # tensor.tanh keeps the scores inside the open interval (-1, 1)
+    scores = tensor.tanh(m_seq.astype(np.float64) @ fe_seq.astype(np.float64).T / np.sqrt(D))
     return grid.with_offsets(offsets.astype(np.float64)), AttentionMatrix(scores)
 
 

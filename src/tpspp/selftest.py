@@ -279,7 +279,7 @@ def suite_kernel_values():
     _check(kernel_u(0.0) == 0.0, "U(0) != 0")
     _check(kernel_u(1.0) == 0.0, "U(1) != 0")
     _check(abs(kernel_u(np.sqrt(np.e)) - np.e) <= 1e-12, "U(sqrt(e)) != e")
-    s = build_kernel_matrix(make_grid(4, 16)).s
+    s = build_kernel_matrix(make_grid(4, 16))
     _check(np.array_equal(s, s.T) and np.all(np.diag(s) == 0), "kernel matrix asymmetric")
     return "closed-form values and exact symmetry"
 

@@ -22,7 +22,8 @@ def make_stripe_image(seed, amplitude=DEFAULT_AMPLITUDE, noise=DEFAULT_NOISE,
     xs = np.arange(width) / (width - 1)
     centers = stripe_center(xs, amplitude, cycles, height)
     ys = np.arange(height)[:, None]
-    img = np.exp(-0.5 * ((ys - centers[None, :]) / STRIPE_SIGMA) ** 2)
+    with np.errstate(over="ignore"):  # a stripe far off the image squares to inf: exp(-inf) = 0
+        img = np.exp(-0.5 * ((ys - centers[None, :]) / STRIPE_SIGMA) ** 2)
     img = np.clip(img + rng.uniform(-noise, noise, size=img.shape), 0.0, 1.0)
     return img.astype(np.float32)[None, :, :]
 

@@ -26,7 +26,7 @@ def matmul(a, b):
 
 
 def solve_linear(m, rhs):
-    """Solve m @ x = rhs by LU with partial pivoting (float64 internally).
+    """Solve m @ x = rhs for an (n, r) rhs by LU with partial pivoting (float64 internally).
 
     A pivot with magnitude below PIVOT_EPS raises SingularMatrixError.
     """
@@ -35,11 +35,8 @@ def solve_linear(m, rhs):
         raise ShapeError(f"coefficient matrix must be square, got {a.shape}")
     n = a.shape[0]
     b = np.array(rhs, dtype=np.float64)
-    vector_rhs = b.ndim == 1
-    if vector_rhs:
-        b = b[:, None]
     if b.ndim != 2 or b.shape[0] != n:
-        raise ShapeError(f"rhs rows {b.shape} do not match system size {n}")
+        raise ShapeError(f"rhs must be a ({n}, r) matrix, got shape {b.shape}")
 
     for k in range(n):
         p = k + int(np.argmax(np.abs(a[k:, k])))
@@ -56,7 +53,7 @@ def solve_linear(m, rhs):
     x = np.empty_like(b)
     for k in range(n - 1, -1, -1):
         x[k] = (b[k] - a[k, k + 1:] @ x[k + 1:]) / a[k, k]
-    return x[:, 0] if vector_rhs else x
+    return x
 
 
 def conv2d(x, kernel, bias, stride=1, pad=0):

@@ -52,13 +52,6 @@ class ControlPointGrid:
 
 
 @dataclass(frozen=True)
-class KernelMatrix:
-    """Symmetric K x K matrix of kernel_u over pairwise base distances."""
-
-    s: np.ndarray
-
-
-@dataclass(frozen=True)
 class TpsTransform:
     """Solved 2 x (K+3) transform plus its evaluation parameters."""
 
@@ -108,7 +101,8 @@ def kernel_between(points, centers):
 
 
 def build_kernel_matrix(grid):
-    return KernelMatrix(_frozen(kernel_between(grid.base, grid.base)))
+    """Read-only symmetric K x K matrix of kernel_u over pairwise base distances."""
+    return _frozen(kernel_between(grid.base, grid.base))
 
 
 def interpolation_system(grid):
@@ -121,7 +115,7 @@ def interpolation_system(grid):
     p = np.hstack([np.ones((k, 1)), grid.base])  # (K, 3): [1, x, y]
     m = np.zeros((k + 3, k + 3))
     m[:k, :3] = p
-    m[:k, 3:] = build_kernel_matrix(grid).s
+    m[:k, 3:] = build_kernel_matrix(grid)
     m[k:, 3:] = p.T
     rhs = np.zeros((k + 3, 2))
     rhs[:k] = grid.regressed

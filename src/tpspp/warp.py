@@ -127,17 +127,17 @@ def build_sampling_grid(transform, attention, out_h, out_w):
 
 
 def warp(source, grid, border="zeros"):
-    """Bilinear sampling of a (C,H,W) map at the grid's source coords.
+    """Bilinear sampling of a (C,H,W) map, framed by one pixel, at the grid's source coords.
 
-    border="zeros": out-of-range neighbors contribute 0;
-    border="clamp": coordinates are clipped to the valid box first.
+    border="zeros": the frame is zeros, so out-of-range neighbors contribute 0;
+    border="clamp": the frame repeats the edge; coordinates are clipped to the valid box first.
     """
     source = np.asarray(source)
-    if source.ndim != 3:
-        raise ShapeError(f"warp expects (C,H,W) source, got {source.shape}")
+    if source.ndim != 3 or source.shape[1] < 1 or source.shape[2] < 1:
+        raise ShapeError(f"warp expects a (C,H,W) source with H, W >= 1, got {source.shape}")
     if border not in ("zeros", "clamp"):
         raise ValidationError(f"unknown border policy {border!r}")
-    _, h, w = source.shape
+    c, h, w = source.shape
     # with zeros, a coordinate a pixel or more outside reads nothing but zeros, so clipping
     # it to one pixel outside changes no output and keeps huge ones clear of the int64 cast
     lo = 0.0 if border == "clamp" else -1.0
@@ -147,20 +147,19 @@ def warp(source, grid, border="zeros"):
     np.clip(xs, lo, w - 1 - lo, out=xs)
     np.clip(ys, lo, h - 1 - lo, out=ys)
 
-    x0 = np.floor(xs).astype(np.int64)
-    y0 = np.floor(ys).astype(np.int64)
+    # capped so a coordinate on pixel w (or h) reads its far neighbor, weight 1, from the frame
+    x0 = np.minimum(np.floor(xs), w - 1)
+    y0 = np.minimum(np.floor(ys), h - 1)
     fx = xs - x0
     fy = ys - y0
 
-    out = np.zeros((source.shape[0], xs.shape[0]), dtype=np.float64)
-    src = source.astype(np.float64)
-    for dy in (0, 1):
-        for dx in (0, 1):
-            xi = x0 + dx
-            yi = y0 + dy
-            wgt = (fx if dx else 1.0 - fx) * (fy if dy else 1.0 - fy)
-            valid = (xi >= 0) & (xi < w) & (yi >= 0) & (yi < h)
-            xi_c = np.clip(xi, 0, w - 1)
-            yi_c = np.clip(yi, 0, h - 1)
-            out += np.where(valid, wgt, 0.0) * src[:, yi_c, xi_c]
-    return out.reshape(source.shape[0], grid.height, grid.width).astype(source.dtype)
+    framed = np.pad(source.astype(np.float64), ((0, 0), (1, 1), (1, 1)),
+                    mode="edge" if border == "clamp" else "constant").reshape(c, -1)
+    corner = ((y0 + 1.0) * (w + 2) + (x0 + 1.0)).astype(np.int64)  # flat index of (y0, x0)
+    out = np.zeros((c, xs.shape[0]), dtype=np.float64)
+    for offset, wgt in ((0, (1.0 - fx) * (1.0 - fy)), (1, fx * (1.0 - fy)),
+                        (w + 2, (1.0 - fx) * fy), (w + 3, fx * fy)):
+        neighbor = np.take(framed, corner + offset, axis=1)
+        neighbor *= wgt
+        out += neighbor
+    return out.reshape(c, grid.height, grid.width).astype(source.dtype)

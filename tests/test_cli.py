@@ -1,4 +1,6 @@
 import json
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +15,14 @@ from tpspp.warp import AttentionMatrix
 
 def run(*argv):
     return main(list(argv))
+
+
+def exit_code(*argv):
+    """The process exit code: main's return value, or argparse's on an unparsable value."""
+    try:
+        return run(*argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 @pytest.fixture()
@@ -41,6 +51,20 @@ class TestSynth:
         digest = hashlib.sha256(stripe.read_bytes()).hexdigest()
         # recorded from the first verified run
         assert digest == "57907b21bd8068191cacca849805f67026250def6185c61c91826ebeb40b3736"
+
+    @pytest.mark.parametrize("arg", ["--seed=-1", "--noise=1e308", "--noise=nan",
+                                     "--amplitude=nan"])
+    def test_rejected_without_output(self, tmp_path, capsys, arg):
+        out = tmp_path / "s.pgm"
+        assert run("synth", "--out", str(out), arg) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_negative_zero_noise_is_no_noise(self, tmp_path):
+        p1, p2 = tmp_path / "a.pgm", tmp_path / "b.pgm"
+        assert run("synth", "--out", str(p1), "--noise=-0.0") == 0
+        assert run("synth", "--out", str(p2), "--noise=0") == 0
+        assert p1.read_bytes() == p2.read_bytes()
 
 
 class TestRectify:
@@ -132,6 +156,22 @@ class TestRectify:
                    "--overlay", *args) == 2
         assert not list(tmp_path.glob("out*"))
 
+    def test_weights_grid_rejected_before_allocation(self, tmp_path, stripe):
+        # the network regresses 64 points; a 10^10-point grid would need 160 GB
+        wpath = tmp_path / "w.tpsw"
+        fileio.save_weights(network.init_weights(0), wpath)
+        out = tmp_path / "out.pgm"
+        tracemalloc.start()
+        try:
+            code = run("rectify", "--image", str(stripe), "--weights", str(wpath),
+                       "--out", str(out), "--grid", "100000x100000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert not out.exists()
+        assert peak < 1 << 20
+
     def test_non_finite_transform_exit_3(self, tmp_path, stripe):
         pts = tmp_path / "pts.json"
         signs = np.random.default_rng(0).choice([-1.0, 1.0], (64, 2))
@@ -181,6 +221,8 @@ def fuzz_dir(tmp_path_factory):
     # attention on the 4x6 source lattice, so lambda reaches the kernel terms
     scores = np.random.default_rng(0).uniform(-0.9, 0.9, (24, 4))
     fileio.export_grid_json(make_grid(2, 2), AttentionMatrix(scores), d / "att.json")
+    fileio.save_image(synth.make_stripe_image(7), d / "stripe.pgm")  # the network's 32x128 input
+    fileio.save_weights(network.init_weights(0), d / "w.tpsw")
     return d
 
 
@@ -214,6 +256,39 @@ def test_parameter_fuzz_exit_codes(fuzz_dir, lam, beta, out_size, overlay):
                *(["--overlay"] if overlay else []))
     assert code in (0, 2, 3)
     assert (fuzz_dir / "p.pgm").exists() == (code == 0)
+
+
+NUMBERS = st.integers() | st.floats()
+
+
+@settings(max_examples=150, deadline=2000)
+@given(seed=NUMBERS, amplitude=NUMBERS, noise=NUMBERS)
+def test_synth_fuzz_exit_codes(fuzz_dir, seed, amplitude, noise):
+    out = fuzz_dir / "s.pgm"
+    out.unlink(missing_ok=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow or cast warnings either
+        code = exit_code("synth", "--out", str(out), f"--seed={seed!r}",
+                         f"--amplitude={amplitude!r}", f"--noise={noise!r}")
+    assert code in (0, 2, 3)
+    assert out.exists() == (code == 0)
+
+
+# RxC grids: the network's K = 64 (2x32, 4x16, 8x8, ...), other small extents, and 10^5
+# extents that must be rejected before a grid of their size is built
+GRIDS = st.builds("{}x{}".format, st.integers(-2, 40) | st.just(10**5),
+                  st.integers(-2, 40) | st.just(10**5))
+
+
+@settings(max_examples=150, deadline=2000)
+@given(grid=GRIDS)
+def test_weights_grid_fuzz_exit_codes(fuzz_dir, grid):
+    out = fuzz_dir / "w.pgm"
+    out.unlink(missing_ok=True)
+    code = exit_code("rectify", "--image", str(fuzz_dir / "stripe.pgm"), "--weights",
+                     str(fuzz_dir / "w.tpsw"), "--out", str(out), f"--grid={grid}")
+    assert code in (0, 2, 3)
+    assert out.exists() == (code == 0)
 
 
 class TestInspect:

@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tpspp import fileio, network
 from tpspp.cli import main
@@ -96,6 +98,49 @@ class TestWeights:
                 fileio.load_weights(bad)
             except TpsError:
                 pass  # typed errors are the contract; crashes are not
+
+
+def _header_fields(blob):
+    """Byte offsets of a TPSW file's u32 header fields: count, then name_len, rank and
+    each dim of every tensor."""
+    fields, pos = [8], 12
+    (count,) = struct.unpack_from("<I", blob, 8)
+    for _ in range(count):
+        (name_len,) = struct.unpack_from("<I", blob, pos)
+        rank_pos = pos + 4 + name_len
+        (rank,) = struct.unpack_from("<I", blob, rank_pos)
+        dims = struct.unpack_from(f"<{rank}I", blob, rank_pos + 4)
+        fields += [pos, rank_pos, *range(rank_pos + 4, rank_pos + 4 + 4 * rank, 4)]
+        pos = rank_pos + 4 + 4 * rank + 4 * int(np.prod(dims))
+    return fields
+
+
+@pytest.fixture(scope="module")
+def header_file(tmp_path_factory):
+    rng = np.random.default_rng(4)
+    store = network.WeightStore({"a": rng.standard_normal((2, 3)), "bias": np.ones(4),
+                                 "conv": rng.standard_normal((2, 1, 3, 2))})
+    path = tmp_path_factory.mktemp("header") / "w.tpsw"
+    fileio.save_weights(store, path)
+    blob = path.read_bytes()
+    # count; per tensor name_len and rank, then dims: (2, 3), (4,), (2, 1, 3, 2)
+    assert len(_header_fields(blob)) == 1 + 2 * 3 + 2 + 1 + 4
+    return path, blob
+
+
+@settings(max_examples=150, deadline=2000)
+@given(data=st.data(), value=st.integers(0, 16) | st.integers(0, 2**32 - 1))
+def test_header_field_overwrite_typed(header_file, data, value):
+    path, blob = header_file
+    mutated = bytearray(blob)
+    struct.pack_into("<I", mutated, data.draw(st.sampled_from(_header_fields(blob))), value)
+    bad = path.with_name("bad.tpsw")
+    bad.write_bytes(bytes(mutated))
+    try:
+        assert isinstance(fileio.load_weights(bad), network.WeightStore)
+    except TpsError:
+        pass  # typed errors are the contract; crashes are not
+    assert main(["inspect", "--weights", str(bad)]) in (0, 2)
 
 
 class TestImages:

@@ -65,6 +65,10 @@ class TestSolveLinear:
         with pytest.raises(ShapeError):
             tensor.solve_linear(np.zeros((2, 3)), np.zeros((2, 1)))
 
+    def test_vector_rhs_rejected(self):
+        with pytest.raises(ShapeError):
+            tensor.solve_linear(np.eye(2), np.ones(2))
+
 
 class TestConv2d:
     def test_identity_kernel(self):

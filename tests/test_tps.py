@@ -65,21 +65,21 @@ class TestKernelU:
 
 class TestKernelMatrix:
     def test_zero_diagonal(self):
-        s = tps.build_kernel_matrix(tps.make_grid(3, 5)).s
+        s = tps.build_kernel_matrix(tps.make_grid(3, 5))
         assert np.all(np.diag(s) == 0.0)
 
     def test_unit_distance_entries(self):
         g = tps.make_grid(1, 2)  # points at (-1,0), (1,0), distance 2
-        s = tps.build_kernel_matrix(g).s
+        s = tps.build_kernel_matrix(g)
         assert abs(s[0, 1] - 4.0 * math.log(4.0)) <= 1e-12
 
     def test_diagonal_pair_2x2(self):
-        s = tps.build_kernel_matrix(tps.make_grid(2, 2)).s
+        s = tps.build_kernel_matrix(tps.make_grid(2, 2))
         # opposite corners at distance 2*sqrt(2): U = 8 ln 8
         assert abs(s[0, 3] - 8.0 * math.log(8.0)) <= 1e-10
 
     def test_exact_symmetry(self):
-        s = tps.build_kernel_matrix(tps.make_grid(4, 16)).s
+        s = tps.build_kernel_matrix(tps.make_grid(4, 16))
         assert np.array_equal(s, s.T)
 
 

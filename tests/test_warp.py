@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tpspp import tps
 from tpspp.errors import DegenerateGridError, ShapeError, ValidationError
@@ -244,11 +246,47 @@ class TestWarp:
         with pytest.raises(DegenerateGridError):
             SamplingGrid(1, 2, np.array([[0.0, 0.0], [0.5, bad]]))
 
+    @pytest.mark.parametrize("shape", [(4, 4), (1, 0, 4), (1, 4, 0)])
+    def test_source_shape_checked(self, shape):
+        with pytest.raises(ShapeError):
+            warp(np.zeros(shape, np.float32), SamplingGrid(1, 1, np.zeros((1, 2))))
+
     def test_unknown_border(self):
         src = np.zeros((1, 2, 2), dtype=np.float32)
         grid = SamplingGrid(1, 1, np.zeros((1, 2)))
         with pytest.raises(ValidationError):
             warp(src, grid, border="wrap")
+
+
+def _axis_coordinate(n):
+    """Any normalized coordinate in +-3, or one on pixel -1, 0, n-1 or n of an n-pixel axis."""
+    edges = st.sampled_from([-1, 0, n - 1, n]).map(
+        lambda p: 2.0 * p / (n - 1) - 1.0 if n > 1 else 0.0)
+    return st.floats(-3.0, 3.0) | edges
+
+
+@st.composite
+def warp_cases(draw):
+    c, h, w = draw(st.integers(1, 4)), draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    coords = draw(st.lists(st.tuples(_axis_coordinate(w), _axis_coordinate(h)),
+                           min_size=1, max_size=12))
+    src = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(0, 1, (c, h, w))
+    return src.astype(np.float32), np.array(coords), draw(st.sampled_from(["zeros", "clamp"]))
+
+
+# a coordinate on pixel h (or w) reads past the last row of the framed source unless the
+# warp caps the floored index at size - 1
+@settings(max_examples=150, deadline=2000)
+@given(case=warp_cases())
+def test_warp_matches_scalar_oracle(case):
+    src, coords, border = case
+    _, h, w = src.shape
+    out = warp(src, SamplingGrid(1, len(coords), coords), border=border)
+    for m, (x, y) in enumerate(coords):
+        px, py = (x + 1.0) / 2.0 * (w - 1), (y + 1.0) / 2.0 * (h - 1)
+        for ch in range(src.shape[0]):
+            ref = bilinear_sample_scalar(src[ch], px, py, border)
+            assert abs(float(out[ch, 0, m]) - ref) <= 1e-6
 
 
 class TestProperties:
