@@ -144,11 +144,6 @@ def init_weights(seed=0):
     return WeightStore(tensors)
 
 
-def zero_weights():
-    return WeightStore({name: np.zeros(shape, dtype=np.float32)
-                        for name, shape in WEIGHT_MANIFEST.items()})
-
-
 def rectifier_parameter_count(w=None):
     """Parameters of the rectifier proper (backbone stub excluded)."""
     if w is None:

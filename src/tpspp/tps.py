@@ -3,10 +3,18 @@
 Control points live in normalized [-1, 1]^2 coordinates, x rightward and
 y downward. The interpolation system is assembled from the BASE grid
 points; the right-hand side holds the REGRESSED points, so zero offsets
-solve to the exact identity map. RBF centers for later evaluation are the
+solve to the identity map. RBF centers for later evaluation are the
 base points.
+
+What only the lattice decides is built once and cached: the inverse of the
+interpolation system per base lattice (`system_inverse`), and the kernel of
+an output lattice per base lattice and extents (`lattice_kernel`). A
+request then only multiplies its regressed points and attention into them.
 """
 
+import mmap
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +27,12 @@ DEFAULT_ROWS = 4
 DEFAULT_COLS = 16
 DEFAULT_LAMBDA = 0.5
 DEFAULT_BETA = 1.0
+
+# The cache keeps at most this many bytes, least recently used out first: the plans of the
+# lattices a rectifier works at fit (a 64x256 output with K = 64 has an 8 MiB kernel), while
+# a large output's kernel (716 MB at warp.MAX_KERNEL_ENTRIES) is built, used and dropped
+# instead of staying resident
+PLAN_CACHE_BYTES = 32 << 20
 
 
 def _frozen(arr):
@@ -122,6 +136,76 @@ def interpolation_system(grid):
     return m, rhs
 
 
+def _mapped(arr):
+    """Read-only float64 copy of a non-empty array in an anonymous memory mapping of its own.
+
+    A retained array taken from the heap would sit above the temporaries that built it and
+    keep the freed heap below it resident; its own mapping leaves the heap free to shrink
+    and is unmapped when the array is dropped.
+    """
+    out = np.frombuffer(mmap.mmap(-1, arr.size * 8), dtype=np.float64).reshape(arr.shape)
+    out[...] = arr
+    out.flags.writeable = False
+    return out
+
+
+class _PlanCache:
+    """Read-only arrays by key, at most `budget` bytes retained, least recently used out first.
+
+    A value larger than the budget is returned and not stored; a build that raises stores nothing.
+    """
+
+    def __init__(self, budget):
+        self.budget = budget
+        self.nbytes = 0
+        self._arrays = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key, build):
+        with self._lock:
+            if key in self._arrays:
+                self._arrays.move_to_end(key)
+                return self._arrays[key]
+        arr = _frozen(build())
+        if arr.nbytes > self.budget:
+            return arr
+        arr = _mapped(arr)
+        with self._lock:
+            if key not in self._arrays:
+                self._arrays[key] = arr
+                self.nbytes += arr.nbytes
+                while self.nbytes > self.budget:
+                    self.nbytes -= self._arrays.popitem(last=False)[1].nbytes
+        return arr
+
+
+_PLANS = _PlanCache(PLAN_CACHE_BYTES)
+
+
+def system_inverse(grid):
+    """Read-only (K+3) x K inverse of the grid's interpolation system, cached by its base lattice.
+
+    The system's right-hand side is zero below row K, so the transform of any regressed
+    points is this inverse times them. A singular system raises DegenerateGridError.
+    """
+    def build():
+        m, _ = interpolation_system(grid)
+        try:
+            return tensor.solve_linear(m, np.eye(grid.k + 3)[:, :grid.k])
+        except SingularMatrixError as exc:
+            raise DegenerateGridError(f"control points yield a singular system: {exc}") from exc
+
+    base = np.ascontiguousarray(grid.base, dtype=np.float64)
+    return _PLANS.get(("inverse", base.tobytes()), build)
+
+
+def lattice_kernel(centers, out_h, out_w):
+    """Read-only (M, K) kernel U(|p_m - c_k|) of the out_h x out_w output lattice, cached."""
+    centers = np.ascontiguousarray(centers, dtype=np.float64)
+    return _PLANS.get(("kernel", centers.tobytes(), out_h, out_w),
+                      lambda: kernel_between(output_lattice(out_h, out_w), centers))
+
+
 def solve_transform(grid, lam=DEFAULT_LAMBDA, beta=DEFAULT_BETA):
     """Solve the interpolation system of a regressed grid for the transform.
 
@@ -131,11 +215,13 @@ def solve_transform(grid, lam=DEFAULT_LAMBDA, beta=DEFAULT_BETA):
     lam, beta = float(lam), float(beta)
     if not (np.isfinite(lam) and np.isfinite(beta)):
         raise ValidationError(f"lambda and beta must be finite, got {lam} and {beta}")
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite solution raises below
-            w = tensor.solve_linear(*interpolation_system(grid))  # (K+3, 2), columns = (x, y)
-    except SingularMatrixError as exc:
-        raise DegenerateGridError(f"control points yield a singular system: {exc}") from exc
+    inv = system_inverse(grid)
+    regressed = grid.regressed
+    # a power of two scales exactly and keeps huge uniform points (e.g. +1e308 offsets, a
+    # finite translation) from overflowing inside the product
+    _, e = np.frexp(np.abs(regressed).max())
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite solution raises below
+        w = np.ldexp(inv @ np.ldexp(regressed, -e), e)  # (K+3, 2), columns = (x, y)
     if not np.all(np.isfinite(w)):
         raise DegenerateGridError("control points yield a non-finite transform")
     return TpsTransform(_frozen(w.T), grid.base, lam, beta)

@@ -11,12 +11,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGridError, ShapeError, ValidationError
-from .tps import kernel_between, output_lattice
+from .tps import kernel_between, lattice_kernel, output_lattice
 
-# A rectification keeps at most six float64 M x K arrays alive at once (the resampled
-# scores, the kernel, and kernel_u's temporaries; measured with tracemalloc), so M x K
-# is capped to hold that peak under 4 GiB: 89_478_485 entries, e.g. a 1280x960 output
-# with the default 64 control points
+# A rectification keeps at most six float64 M x K arrays alive at once, while it builds
+# the kernel of a lattice not in the plan cache (the resampled scores and kernel_u's
+# temporaries; measured with tracemalloc); from a cached kernel it adds two (the scores
+# and the scaled kernel). M x K is capped to hold the six under 4 GiB: 89_478_485
+# entries, e.g. a 1280x960 output with the default 64 control points. The plan cache
+# itself retains at most tps.PLAN_CACHE_BYTES.
 SAMPLING_PEAK_BYTES = 4 << 30
 MXK_ARRAYS_AT_PEAK = 6
 MAX_KERNEL_ENTRIES = SAMPLING_PEAK_BYTES // (8 * MXK_ARRAYS_AT_PEAK)
@@ -46,10 +48,6 @@ class AttentionMatrix:
     @property
     def k_points(self):
         return self.scores.shape[1]
-
-    @classmethod
-    def zeros(cls, m, k):
-        return cls(np.zeros((m, k)))
 
 
 @dataclass(frozen=True)
@@ -115,14 +113,17 @@ def build_sampling_grid(transform, attention, out_h, out_w):
         if attention.k_points != transform.k:
             raise ShapeError(
                 f"attention has {attention.k_points} cols, transform has K={transform.k}")
-    pts = output_lattice(out_h, out_w)  # (M, 2)
-    u = kernel_between(pts, transform.centers)  # (M, K)
+    u = lattice_kernel(transform.centers, out_h, out_w)  # (M, K), read-only
+    t = transform.t_matrix
     lam, beta = transform.lam, transform.beta
     with np.errstate(over="ignore", invalid="ignore"):  # SamplingGrid rejects non-finite coords
-        # scale in place: an M x K modulation beside kernel_u's temporaries raises peak memory
-        u *= beta if attention is None else lam * attention.scores + beta
-        basis = np.hstack([np.ones((m, 1)), pts, u])
-        coords = basis @ transform.t_matrix.T
+        if attention is None:
+            scaled = u * beta
+        else:  # in place: one M x K array beside the kernel and the scores
+            scaled = attention.scores * lam
+            scaled += beta
+            scaled *= u
+        coords = scaled @ t[:, 3:].T + output_lattice(out_h, out_w) @ t[:, 1:3].T + t[:, 0]
     return SamplingGrid(out_h, out_w, coords)
 
 

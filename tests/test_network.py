@@ -64,8 +64,8 @@ class TestMsfa:
         assert pair.f_e.shape == (64, 4, 16)
         assert pair.f_d.shape == (64, 16, 64)
 
-    def test_zero_weights_zero_outputs(self):
-        w = network.zero_weights()
+    def test_zero_weights_zero_outputs(self, zero_weights):
+        w = zero_weights
         img = synth.make_stripe_image(0)
         pair = network.msfa_forward(network.toy_backbone(img, w), w)
         assert np.all(pair.f_e == 0.0)
@@ -84,8 +84,8 @@ class TestMsfa:
 
 
 class TestCbam:
-    def test_half_gates(self):
-        w = network.zero_weights()
+    def test_half_gates(self, zero_weights):
+        w = zero_weights
         rng = np.random.default_rng(0)
         x = rng.uniform(0.1, 1.0, size=(64, 4, 16)).astype(np.float32)
         out = network.cbam_forward(x, w)
@@ -109,10 +109,10 @@ class TestDgab:
     def test_output_shape(self, weights, pair):
         assert network.dgab_forward(pair, weights).shape == (64, 16, 64)
 
-    def test_zero_weights_scales_by_channel_count(self, pair):
+    def test_zero_weights_scales_by_channel_count(self, pair, zero_weights):
         # gates sigmoid(0)=0.5 and uniform softmax 1/64 on both branches:
         # merged map is the constant 2 * 0.5 / 64 = 1/64
-        w = network.zero_weights()
+        w = zero_weights
         out = network.dgab_forward(pair, w)
         assert np.abs(out - np.asarray(pair.f_d) / 64.0).max() <= 1e-6
 

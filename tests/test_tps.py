@@ -1,10 +1,15 @@
 import math
+import sys
+import threading
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tpspp import tps
+from tpspp import tensor, tps
 from tpspp.errors import DegenerateGridError, DomainError, InvalidGridError, ValidationError
 from tpspp.warp import map_point
 
@@ -157,3 +162,139 @@ class TestSolveTransform:
             warnings.simplefilter("error")  # the solver's overflow is checked, not reported
             with pytest.raises(DegenerateGridError):
                 tps.solve_transform(grid)
+
+    @pytest.mark.parametrize("rows, cols", [(2, 2), (3, 5), (4, 16), (8, 8)])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_uniform_huge_offsets_finite(self, rows, cols, sign):
+        # a translation by 1e308 is finite; its product with the system inverse must not overflow
+        grid = tps.make_grid(rows, cols)
+        grid = grid.with_offsets(np.full(grid.base.shape, sign * 1e308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t = tps.solve_transform(grid)
+        assert np.all(np.isfinite(t.t_matrix))
+        assert np.allclose(t.t_matrix[:, 0], sign * 1e308, rtol=1e-9, atol=0.0)
+
+
+@st.composite
+def regressed_grids(draw):
+    """A 2x2, 3x5, 4x16 or 8x8 grid with seeded offsets, half of them on a jittered base."""
+    rows, cols = draw(st.sampled_from([(2, 2), (3, 5), (4, 16), (8, 8)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = tps.make_grid(rows, cols)
+    if draw(st.booleans()):  # a hand-built, non-uniform base gets its own plan
+        base = tps._frozen(grid.base + rng.uniform(-0.05, 0.05, grid.base.shape))
+        grid = tps.ControlPointGrid(rows, cols, base, grid.offsets)
+    amplitude = draw(st.sampled_from([0.0, 0.1, 1.0]))
+    return grid.with_offsets(rng.uniform(-amplitude, amplitude, grid.base.shape))
+
+
+@settings(max_examples=100, deadline=2000)
+@given(grid=regressed_grids())
+def test_plan_solve_matches_lu_solve(grid):
+    want = tensor.solve_linear(*tps.interpolation_system(grid))
+    assert np.abs(tps.solve_transform(grid).t_matrix.T - want).max() <= 1e-10
+
+
+class TestLatticePlan:
+    @pytest.fixture
+    def plans(self, monkeypatch):
+        cache = tps._PlanCache(tps.PLAN_CACHE_BYTES)
+        monkeypatch.setattr(tps, "_PLANS", cache)
+        return cache
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+        real = tensor.solve_linear
+        monkeypatch.setattr(tensor, "solve_linear", lambda *args: calls.append(1) or real(*args))
+        return calls
+
+    @staticmethod
+    def retained(cache):
+        return sum(arr.nbytes for arr in cache._arrays.values())
+
+    def test_retained_plan_leaves_the_heap(self, plans):
+        # a plan kept on the heap would keep the temporaries freed below it resident
+        g = tps.make_grid(4, 16)
+        tracemalloc.start()
+        try:
+            u = tps.lattice_kernel(g.base, 32, 128)
+            heap_bytes = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert plans.nbytes == u.nbytes and heap_bytes < u.nbytes // 8
+
+    def test_repeated_lattice_reuses_read_only_plan(self, plans, solves):
+        g = tps.make_grid(4, 16)
+        inv, u = tps.system_inverse(g), tps.lattice_kernel(g.base, 16, 64)
+        assert inv.shape == (67, 64) and u.shape == (1024, 64)
+        assert not inv.flags.writeable and not u.flags.writeable
+        rng = np.random.default_rng(0)
+        for _ in range(3):
+            regressed = g.with_offsets(rng.uniform(-0.1, 0.1, (64, 2)))
+            assert tps.system_inverse(regressed) is inv
+            tps.solve_transform(regressed)
+            assert tps.lattice_kernel(regressed.base.copy(), 16, 64) is u
+        assert len(solves) == 1
+        assert plans.nbytes == self.retained(plans) == inv.nbytes + u.nbytes
+
+    def test_retained_bytes_within_budget(self, monkeypatch):
+        budget = 3 * 8 * 64 * 64  # three 8x8 lattices with K = 64
+        cache = tps._PlanCache(budget)
+        monkeypatch.setattr(tps, "_PLANS", cache)
+        g = tps.make_grid(4, 16)
+        for out_h, out_w in [(8, 8), (4, 16), (16, 4), (8, 8), (2, 32), (4, 16), (1, 64)]:
+            u = tps.lattice_kernel(g.base, out_h, out_w)
+            assert tps.lattice_kernel(g.base, out_h, out_w) is u  # the newest plan stays
+            assert cache.nbytes == self.retained(cache) <= budget
+        # least recently used out first: (1, 64), (4, 16) and (2, 32) remain
+        assert [key[2:] for key in cache._arrays] == [(2, 32), (4, 16), (1, 64)]
+
+    def test_over_budget_plan_used_not_retained(self, monkeypatch):
+        cache = tps._PlanCache(8 * 64 * 64)
+        monkeypatch.setattr(tps, "_PLANS", cache)
+        g = tps.make_grid(4, 16)
+        small = tps.lattice_kernel(g.base, 8, 8)
+        big = tps.lattice_kernel(g.base, 16, 16)
+        assert np.array_equal(big, tps.kernel_between(tps.output_lattice(16, 16), g.base))
+        assert not big.flags.writeable
+        assert tps.lattice_kernel(g.base, 16, 16) is not big
+        assert tps.lattice_kernel(g.base, 8, 8) is small
+        assert cache.nbytes == small.nbytes
+
+    def test_singular_lattice_raises_every_call(self, plans, solves):
+        for n in range(1, 4):
+            with pytest.raises(DegenerateGridError):
+                tps.solve_transform(tps.make_grid(1, 4))
+            assert len(solves) == n  # a failure is not cached
+        assert plans.nbytes == 0 and not plans._arrays
+
+    def test_concurrent_lookups_keep_the_count(self, monkeypatch):
+        cache = tps._PlanCache(2 * 8 * 64 * 64)
+        monkeypatch.setattr(tps, "_PLANS", cache)
+        g = tps.make_grid(4, 16)
+        lattices = [(8, 8), (4, 16), (16, 4), (2, 32), (32, 2)]
+        errors = []
+
+        def lookups(offset):
+            try:
+                for i in range(40):
+                    out_h, out_w = lattices[(i + offset) % len(lattices)]
+                    assert tps.lattice_kernel(g.base, out_h, out_w).shape == (out_h * out_w, 64)
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=lookups, args=(n,)) for n in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert cache.nbytes == self.retained(cache) <= cache.budget

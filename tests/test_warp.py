@@ -30,8 +30,8 @@ class TestAttentionMatrix:
         with pytest.raises(ValidationError, match="row 1, col 2"):
             AttentionMatrix(np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.5]]))
 
-    def test_zeros(self):
-        a = AttentionMatrix.zeros(6, 4)
+    def test_zeros(self, zero_attention):
+        a = zero_attention(6, 4)
         assert a.m_locations == 6 and a.k_points == 4
 
 
@@ -89,14 +89,14 @@ class TestMapPoint:
 
 
 class TestBuildSamplingGrid:
-    def test_identity_lattice(self):
+    def test_identity_lattice(self, zero_attention):
         t = tps.solve_transform(tps.make_grid(4, 16))
-        grid = build_sampling_grid(t, AttentionMatrix.zeros(16, 64), 4, 4)
+        grid = build_sampling_grid(t, zero_attention(16, 64), 4, 4)
         assert np.abs(grid.coords - output_lattice(4, 4)).max() <= 1e-9
 
-    def test_default_configuration_extents(self):
+    def test_default_configuration_extents(self, zero_attention):
         _, t = random_transform(8)
-        att = AttentionMatrix.zeros(16 * 64, 64)
+        att = zero_attention(16 * 64, 64)
         grid = build_sampling_grid(t, att, 16, 64)
         assert grid.coords.shape == (1024, 2)
         assert att.k_points == 64
@@ -111,17 +111,17 @@ class TestBuildSamplingGrid:
             ref = map_point(lattice[m], t, att.scores[m])
             assert np.abs(grid.coords[m] - ref).max() <= 1e-9
 
-    def test_row_count_mismatch(self):
+    def test_row_count_mismatch(self, zero_attention):
         _, t = random_transform(11)
-        for att in (AttentionMatrix.zeros(10, 64), AttentionMatrix.zeros(16, 10)):
+        for att in (zero_attention(10, 64), zero_attention(16, 10)):
             with pytest.raises(ShapeError):
                 build_sampling_grid(t, att, 4, 4)
 
-    @pytest.mark.parametrize("lam", [0.0, 0.5, 2.0])
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 2.0, -1.0])
     @pytest.mark.parametrize("beta", [1.0, 0.7])
-    def test_null_attention_is_zero_scores(self, lam, beta):
+    def test_null_attention_is_zero_scores(self, lam, beta, zero_attention):
         _, t = random_transform(16, lam=lam, beta=beta)
-        zeros = build_sampling_grid(t, AttentionMatrix.zeros(6 * 8, 64), 6, 8)
+        zeros = build_sampling_grid(t, zero_attention(6 * 8, 64), 6, 8)
         null = build_sampling_grid(t, None, 6, 8)
         assert null.coords.tobytes() == zeros.coords.tobytes()
 
@@ -164,19 +164,25 @@ class TestBuildSamplingGrid:
         with pytest.raises(ValidationError):
             check_lattice(100000, 100000, 64)
 
-    def test_peak_memory_within_budget_model(self):
-        # the budget assumes MXK_ARRAYS_AT_PEAK float64 M x K arrays alive at once; the
-        # half array of slack covers the lattice, the coordinates and the basis's 3 columns
+    def test_peak_memory_within_budget_model(self, monkeypatch):
+        # the budget assumes MXK_ARRAYS_AT_PEAK float64 M x K arrays alive at once while the
+        # lattice plan is built; from the cached plan, the scores and the scaled kernel are
+        # two more beside it. The half array of slack covers the lattice and the coordinates.
+        monkeypatch.setattr(tps, "_PLANS", tps._PlanCache(tps.PLAN_CACHE_BYTES))
         g = tps.make_grid(4, 16)
         att = AttentionMatrix(np.random.default_rng(20).uniform(-0.9, 0.9, (1024, 64)))
         out_h, out_w = 32, 256
-        tracemalloc.start()
-        try:
-            rectify_map(np.zeros((1, 4, 4)), g, att, 0.5, 1.0, out_h, out_w)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 8 * (MXK_ARRAYS_AT_PEAK + 0.5) * out_h * out_w * 64
+        peaks = []
+        for _ in ("cold", "warm"):
+            tracemalloc.start()
+            try:
+                rectify_map(np.zeros((1, 4, 4)), g, att, 0.5, 1.0, out_h, out_w)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        mk = 8 * out_h * out_w * 64
+        assert peaks[0] <= (MXK_ARRAYS_AT_PEAK + 0.5) * mk
+        assert peaks[1] <= 2.5 * mk
 
 
 class TestOverlays:
@@ -287,6 +293,32 @@ def test_warp_matches_scalar_oracle(case):
         for ch in range(src.shape[0]):
             ref = bilinear_sample_scalar(src[ch], px, py, border)
             assert abs(float(out[ch, 0, m]) - ref) <= 1e-6
+
+
+@st.composite
+def sampling_cases(draw):
+    """A solved transform on a 2x2, 3x5, 4x16 or 8x8 grid, a small output lattice and
+    null or random attention."""
+    rows, cols = draw(st.sampled_from([(2, 2), (3, 5), (4, 16), (8, 8)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = tps.make_grid(rows, cols)
+    g = g.with_offsets(rng.uniform(-0.2, 0.2, g.base.shape))
+    t = tps.solve_transform(g, lam=draw(st.floats(-2.0, 2.0)), beta=draw(st.floats(0.5, 1.5)))
+    out_h, out_w = draw(st.integers(1, 9)), draw(st.integers(1, 12))
+    scores = rng.uniform(-0.99, 0.99, (out_h * out_w, g.k)) if draw(st.booleans()) else None
+    return t, scores, out_h, out_w
+
+
+@settings(max_examples=100, deadline=2000)
+@given(case=sampling_cases())
+def test_sampling_grid_matches_map_point(case):
+    t, scores, out_h, out_w = case
+    att = None if scores is None else AttentionMatrix(scores)
+    got = build_sampling_grid(t, att, out_h, out_w).coords
+    zero = np.zeros(t.k)
+    want = np.array([map_point(p, t, zero if scores is None else scores[m])
+                     for m, p in enumerate(output_lattice(out_h, out_w))])
+    assert np.abs(got - want).max() <= 1e-9
 
 
 class TestProperties:
