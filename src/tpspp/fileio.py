@@ -197,8 +197,11 @@ def import_grid_json(path):
     for field in ("rows", "cols", "base", "offsets", "lambda", "beta", "attention"):
         if field not in doc:
             raise ValidationError(f"missing field {field!r}")
+    rows, cols = doc["rows"], doc["cols"]
+    if type(rows) is not int or type(cols) is not int:  # bool is an int subclass
+        raise ValidationError("grid extents must be JSON integers, got "
+                              f"{type(rows).__name__} and {type(cols).__name__}")
     try:
-        rows, cols = int(doc["rows"]), int(doc["cols"])
         base = np.asarray(doc["base"], dtype=np.float64)
         offsets = np.asarray(doc["offsets"], dtype=np.float64)
         lam, beta = float(doc["lambda"]), float(doc["beta"])

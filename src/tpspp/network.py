@@ -27,6 +27,10 @@ CBAM_REDUCTION = 16
 INPUT_H, INPUT_W = 32, 128
 
 
+class DecodedAttention(AttentionMatrix):
+    """Scores on the decoded DEC_H x DEC_W lattice, resampled to every other output lattice."""
+
+
 class WeightStore:
     """Immutable name -> float32 tensor map for network parameters."""
 
@@ -274,7 +278,7 @@ def aipe_forward(pair, w, grid):
     m_seq = gated.transpose(1, 2, 0).reshape(DEC_H * DEC_W, D)
     # tensor.tanh keeps the scores inside the open interval (-1, 1)
     scores = tensor.tanh(m_seq.astype(np.float64) @ fe_seq.astype(np.float64).T / np.sqrt(D))
-    return grid.with_offsets(offsets.astype(np.float64)), AttentionMatrix(scores)
+    return grid.with_offsets(offsets.astype(np.float64)), DecodedAttention(scores)
 
 
 def rectification_forward(image, w, grid):

@@ -5,37 +5,35 @@ import numpy as np
 from . import network
 from .errors import ValidationError
 from .tps import solve_transform
-from .warp import AttentionMatrix, build_sampling_grid, check_lattice, warp
+from .warp import build_sampling_grid, check_lattice, warp
 
 
 def attention_for_lattice(attention, out_h, out_w):
-    """Return scores aligned with an out_h x out_w output lattice.
+    """Score row of each location of an out_h x out_w lattice, or None for no gather.
 
-    None passes through, and build_sampling_grid reads it as all-zero
-    scores. Scores on the decoded 16x64 lattice are nearest-neighbor
-    resampled when the output lattice differs; any other row count must
-    match the lattice exactly.
+    None: no scores (read as all-zero), or one row per location. Scores on the decoded
+    16x64 lattice, always the network's, give each location's nearest-neighbor decoded
+    row, flat; any other row count raises ValidationError.
     """
     m = out_h * out_w
-    if attention is None or attention.m_locations == m:
-        return attention
-    if attention.m_locations == network.DEC_H * network.DEC_W:
-        scores = attention.scores.reshape(network.DEC_H, network.DEC_W, -1)
-        ri = np.minimum((np.arange(out_h) * network.DEC_H) // out_h, network.DEC_H - 1)
-        ci = np.minimum((np.arange(out_w) * network.DEC_W) // out_w, network.DEC_W - 1)
-        resampled = scores[ri][:, ci].reshape(m, -1)
-        return AttentionMatrix(resampled)
-    raise ValidationError(
-        f"attention has {attention.m_locations} rows; expected {m} or "
-        f"{network.DEC_H * network.DEC_W}")
+    if attention is None or (attention.m_locations == m
+                             and not isinstance(attention, network.DecodedAttention)):
+        return None
+    if attention.m_locations != network.DEC_H * network.DEC_W:
+        raise ValidationError(
+            f"attention has {attention.m_locations} rows; expected {m} or "
+            f"{network.DEC_H * network.DEC_W}")
+    ri = np.minimum((np.arange(out_h) * network.DEC_H) // out_h, network.DEC_H - 1)
+    ci = np.minimum((np.arange(out_w) * network.DEC_W) // out_w, network.DEC_W - 1)
+    return (ri[:, None] * network.DEC_W + ci).ravel()
 
 
 def rectify_map(source, grid, attention, lam, beta, out_h, out_w, border="zeros"):
     """Solve the transform for a regressed grid and warp a (C,H,W) map."""
     transform = solve_transform(grid, lam=lam, beta=beta)
-    check_lattice(out_h, out_w, transform.k)  # before attention_for_lattice resamples to M x K
-    aligned = attention_for_lattice(attention, out_h, out_w)
-    sampling = build_sampling_grid(transform, aligned, out_h, out_w)
+    check_lattice(out_h, out_w, transform.k)  # before attention_for_lattice builds its M rows
+    rows = attention_for_lattice(attention, out_h, out_w)
+    sampling = build_sampling_grid(transform, attention, out_h, out_w, rows=rows)
     return warp(source, sampling, border=border), sampling
 
 

@@ -12,7 +12,6 @@ an output lattice per base lattice and extents (`lattice_kernel`). A
 request then only multiplies its regressed points and attention into them.
 """
 
-import mmap
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -107,11 +106,15 @@ def kernel_u(r):
 
 
 def kernel_between(points, centers):
-    """(N, K) matrix of U(|p_n - c_k|) for (N, 2) points and (K, 2) centers."""
-    d = points[:, None, :] - centers[None, :, :]
-    r = np.sqrt((d * d).sum(axis=2))
-    del d  # N x K x 2; free it before kernel_u allocates its N x K temporaries
-    return kernel_u(r)
+    """(N, K) matrix of U(|p_n - c_k|) = r2 * ln(r2), built in place from r2 = dx^2 + dy^2."""
+    r2 = np.subtract.outer(points[:, 0], centers[:, 0])
+    r2 *= r2
+    dy2 = np.subtract.outer(points[:, 1], centers[:, 1])
+    dy2 *= dy2
+    r2 += dy2
+    np.log(r2, out=dy2, where=r2 > 0)  # where r2 = 0, dy2 is 0 too, so U(0) = 0
+    r2 *= dy2
+    return r2
 
 
 def build_kernel_matrix(grid):
@@ -136,19 +139,6 @@ def interpolation_system(grid):
     return m, rhs
 
 
-def _mapped(arr):
-    """Read-only float64 copy of a non-empty array in an anonymous memory mapping of its own.
-
-    A retained array taken from the heap would sit above the temporaries that built it and
-    keep the freed heap below it resident; its own mapping leaves the heap free to shrink
-    and is unmapped when the array is dropped.
-    """
-    out = np.frombuffer(mmap.mmap(-1, arr.size * 8), dtype=np.float64).reshape(arr.shape)
-    out[...] = arr
-    out.flags.writeable = False
-    return out
-
-
 class _PlanCache:
     """Read-only arrays by key, at most `budget` bytes retained, least recently used out first.
 
@@ -169,7 +159,6 @@ class _PlanCache:
         arr = _frozen(build())
         if arr.nbytes > self.budget:
             return arr
-        arr = _mapped(arr)
         with self._lock:
             if key not in self._arrays:
                 self._arrays[key] = arr

@@ -13,12 +13,12 @@ import numpy as np
 from .errors import DegenerateGridError, ShapeError, ValidationError
 from .tps import kernel_between, lattice_kernel, output_lattice
 
-# A rectification keeps at most six float64 M x K arrays alive at once, while it builds
-# the kernel of a lattice not in the plan cache (the resampled scores and kernel_u's
-# temporaries; measured with tracemalloc); from a cached kernel it adds two (the scores
-# and the scaled kernel). M x K is capped to hold the six under 4 GiB: 89_478_485
-# entries, e.g. a 1280x960 output with the default 64 control points. The plan cache
-# itself retains at most tps.PLAN_CACHE_BYTES.
+# A rectification keeps at most six float64 M x K arrays' worth alive (tracemalloc, K = 4
+# to 64, cold or warm plan cache): 2.2 with K = 64 (a cold kernel and its squared distances),
+# 5.5 with K = 4, the smallest solvable lattice, whose per-location arrays weigh a quarter
+# each. M x K is capped to hold six under 4 GiB: 89_478_485 entries, e.g. a 1280x960 output
+# with the default 64 control points. The plan cache itself retains at most
+# tps.PLAN_CACHE_BYTES.
 SAMPLING_PEAK_BYTES = 4 << 30
 MXK_ARRAYS_AT_PEAK = 6
 MAX_KERNEL_ENTRIES = SAMPLING_PEAK_BYTES // (8 * MXK_ARRAYS_AT_PEAK)
@@ -98,18 +98,23 @@ def check_lattice(out_h, out_w, k):
             f"above the budget of {MAX_KERNEL_ENTRIES}")
 
 
-def build_sampling_grid(transform, attention, out_h, out_w):
+def build_sampling_grid(transform, attention, out_h, out_w, *, rows=None):
     """Map the whole output lattice through the transform at once.
 
-    attention=None stands for all-zero scores: every kernel term is then
-    scaled by beta alone. A non-finite source coordinate raises
+    attention=None stands for all-zero scores: every kernel term is then scaled by
+    beta alone. Location m reads score row rows[m] of an (M,) integer array, or
+    row m when rows is None. A non-finite source coordinate raises
     DegenerateGridError from SamplingGrid.
     """
     check_lattice(out_h, out_w, transform.k)
     m = out_h * out_w
     if attention is not None:
-        if attention.m_locations != m:
+        if rows is None and attention.m_locations != m:
             raise ShapeError(f"attention has {attention.m_locations} rows, lattice has {m}")
+        rows = None if rows is None else np.asarray(rows)
+        if rows is not None and not (rows.shape == (m,) and rows.dtype.kind in "iu" and
+                                     0 <= rows.min() and rows.max() < attention.m_locations):
+            raise ShapeError(f"rows must give one of {attention.m_locations} rows per location")
         if attention.k_points != transform.k:
             raise ShapeError(
                 f"attention has {attention.k_points} cols, transform has K={transform.k}")
@@ -119,9 +124,11 @@ def build_sampling_grid(transform, attention, out_h, out_w):
     with np.errstate(over="ignore", invalid="ignore"):  # SamplingGrid rejects non-finite coords
         if attention is None:
             scaled = u * beta
-        else:  # in place: one M x K array beside the kernel and the scores
+        else:  # lam * a + beta on the scores' own rows, gathered into the one M x K array
             scaled = attention.scores * lam
             scaled += beta
+            if rows is not None:
+                scaled = np.take(scaled, rows, axis=0)
             scaled *= u
         coords = scaled @ t[:, 3:].T + output_lattice(out_h, out_w) @ t[:, 1:3].T + t[:, 0]
     return SamplingGrid(out_h, out_w, coords)

@@ -236,6 +236,8 @@ def test_points_fuzz_exit_codes(fuzz_dir, field, value, overlay):
                str(fuzz_dir / "pts.json"), "--out", str(fuzz_dir / "o.pgm"),
                *(["--overlay"] if overlay else []))
     assert code in (0, 2, 3)
+    if field in ("rows", "cols"):  # the valid file's 2x2 extents, as JSON integers, or exit 2
+        assert code == (0 if type(value) is int and value == 2 else 2)
 
 
 # HxW strings: well-formed small and over-budget extents, and arbitrary text; each large

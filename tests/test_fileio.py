@@ -214,6 +214,12 @@ MALFORMED_POINTS = [
                  ValidationError, id="ragged-offsets"),
     pytest.param(_points_doc(rows="abc"), ValidationError, id="rows-string"),
     pytest.param(_points_doc(rows=None), ValidationError, id="rows-null"),
+    # extents are JSON integers only: no fraction, no integral float, no digits, no bool
+    pytest.param(_points_doc(rows=2.9), ValidationError, id="rows-fraction"),
+    pytest.param(_points_doc(rows=2.0), ValidationError, id="rows-integral-float"),
+    pytest.param(_points_doc(cols="2"), ValidationError, id="cols-digits"),
+    pytest.param(_points_doc(rows=True, base=make_grid(1, 2).base.tolist(),
+                             offsets=[[0.0, 0.0]] * 2), ValidationError, id="rows-bool"),
     pytest.param(_points_doc(**{"lambda": "x"}), ValidationError, id="lambda-string"),
     pytest.param(_points_doc(**{"lambda": None}), ValidationError, id="lambda-null"),
     pytest.param(_points_doc(attention="abc"), ValidationError, id="attention-string"),

@@ -3,9 +3,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from tpspp import network, synth
+from tpspp import network, rectify, synth
 from tpspp.errors import MissingParameterError, ShapeError
-from tpspp.tps import make_grid, solve_transform
+from tpspp.tps import make_grid, output_lattice, solve_transform
 from tpspp.warp import map_point
 
 # recorded from the first verified run (seed-0 weights, seed-3 stripe image)
@@ -179,3 +179,21 @@ class TestContracts:
     def test_manifest_covers_store(self, weights):
         for name, shape in network.WEIGHT_MANIFEST.items():
             assert weights[name].shape == shape
+
+
+@pytest.mark.parametrize("out_h, out_w", [(32, 32), (8, 128), (16, 64), (32, 128)])
+def test_network_scores_read_as_decoded(image, out_h, out_w):
+    # 32x32 and 8x128 have as many locations as the decoded 16x64 lattice, but their
+    # locations still read the nearest decoded row
+    w = network.init_weights(3)
+    rng = np.random.default_rng(3)
+    w = network.WeightStore({k: v + rng.normal(0, 0.02, v.shape) if k.startswith("aipe.offset2")
+                             else v for k, v in w.items()})
+    _, sampling, regressed, att = rectify.rectify_with_network(
+        image, w, make_grid(4, 16), 0.5, 1.0, out_h, out_w)
+    assert np.any(regressed.offsets != 0.0)
+    t = solve_transform(regressed, 0.5, 1.0)
+    scores = att.scores.reshape(16, 64, 64)
+    want = [map_point(p, t, scores[i * 16 // out_h, j * 64 // out_w])
+            for (i, j), p in zip(np.ndindex(out_h, out_w), output_lattice(out_h, out_w))]
+    assert np.abs(sampling.coords - np.array(want)).max() <= 1e-12

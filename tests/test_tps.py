@@ -1,7 +1,6 @@
 import math
 import sys
 import threading
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -66,6 +65,39 @@ class TestKernelU:
         out = tps.kernel_u(np.array([0.0, 1.0, 2.0]))
         assert out[0] == 0.0 and out[1] == 0.0
         assert abs(out[2] - 4.0 * math.log(4.0)) <= 1e-12
+
+
+@st.composite
+def kernel_cases(draw):
+    """Points and centers at one scale in [1e-3, 1e3]; some points sit on a center, some
+    within a millionth of the scale of one."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    centers = rng.uniform(-scale, scale, (draw(st.integers(1, 12)), 2))
+    points = rng.uniform(-scale, scale, (draw(st.integers(1, 12)), 2))
+    near = rng.integers(0, len(centers), len(points))
+    on_center = rng.random(len(points)) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+    points[on_center] = centers[near[on_center]]
+    close = rng.random(len(points)) < 0.3
+    points[close] = centers[near[close]] + rng.uniform(-1e-6, 1e-6, (close.sum(), 2)) * scale
+    return points, centers
+
+
+@settings(max_examples=200, deadline=2000)
+@given(case=kernel_cases())
+def test_kernel_between_matches_kernel_u(case):
+    points, centers = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = tps.kernel_between(points, centers)
+    d = points[:, None, :] - centers[None, :, :]
+    r2 = (d * d).sum(axis=2)
+    want = tps.kernel_u(np.sqrt(r2))
+    # U crosses 0 at r = 1, so the bound follows the terms of r2 * ln(r2), not |U|
+    bound = 1e-14 * r2 * (1.0 + np.abs(np.log(np.where(r2 > 0, r2, 1.0))))
+    assert got.shape == (len(points), len(centers))
+    assert np.all(np.abs(got - want) <= bound)
+    assert np.all(got[r2 == 0] == 0.0)
 
 
 class TestKernelMatrix:
@@ -213,17 +245,6 @@ class TestLatticePlan:
     @staticmethod
     def retained(cache):
         return sum(arr.nbytes for arr in cache._arrays.values())
-
-    def test_retained_plan_leaves_the_heap(self, plans):
-        # a plan kept on the heap would keep the temporaries freed below it resident
-        g = tps.make_grid(4, 16)
-        tracemalloc.start()
-        try:
-            u = tps.lattice_kernel(g.base, 32, 128)
-            heap_bytes = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        assert plans.nbytes == u.nbytes and heap_bytes < u.nbytes // 8
 
     def test_repeated_lattice_reuses_read_only_plan(self, plans, solves):
         g = tps.make_grid(4, 16)

@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tpspp import tps
+from tpspp.network import DecodedAttention
 from tpspp.errors import DegenerateGridError, ShapeError, ValidationError
 from tpspp.oracles import ClassicTps, bilinear_sample_scalar
-from tpspp.rectify import annotate_points, deformation_grid_image, rectify_map
+from tpspp.rectify import (annotate_points, attention_for_lattice, deformation_grid_image,
+                            rectify_map)
 from tpspp.warp import (MAX_KERNEL_ENTRIES, MXK_ARRAYS_AT_PEAK, AttentionMatrix, SamplingGrid,
                         basis_vector, build_sampling_grid, check_lattice, map_point,
                         output_lattice, warp)
@@ -164,25 +166,75 @@ class TestBuildSamplingGrid:
         with pytest.raises(ValidationError):
             check_lattice(100000, 100000, 64)
 
-    def test_peak_memory_within_budget_model(self, monkeypatch):
-        # the budget assumes MXK_ARRAYS_AT_PEAK float64 M x K arrays alive at once while the
-        # lattice plan is built; from the cached plan, the scores and the scaled kernel are
-        # two more beside it. The half array of slack covers the lattice and the coordinates.
+    @staticmethod
+    def peaks_in_mk_arrays(monkeypatch, rows, cols, out_h=32, out_w=256):
+        """tracemalloc peaks of a cold-cache then a warm-cache rectify_map with decoded
+        scores, in float64 M x K arrays."""
         monkeypatch.setattr(tps, "_PLANS", tps._PlanCache(tps.PLAN_CACHE_BYTES))
-        g = tps.make_grid(4, 16)
-        att = AttentionMatrix(np.random.default_rng(20).uniform(-0.9, 0.9, (1024, 64)))
-        out_h, out_w = 32, 256
+        g = tps.make_grid(rows, cols)
+        att = AttentionMatrix(np.random.default_rng(20).uniform(-0.9, 0.9, (1024, g.k)))
         peaks = []
         for _ in ("cold", "warm"):
             tracemalloc.start()
             try:
                 rectify_map(np.zeros((1, 4, 4)), g, att, 0.5, 1.0, out_h, out_w)
-                peaks.append(tracemalloc.get_traced_memory()[1])
+                peaks.append(tracemalloc.get_traced_memory()[1] / (8 * out_h * out_w * g.k))
             finally:
                 tracemalloc.stop()
-        mk = 8 * out_h * out_w * 64
-        assert peaks[0] <= (MXK_ARRAYS_AT_PEAK + 0.5) * mk
-        assert peaks[1] <= 2.5 * mk
+        return peaks
+
+    def test_peak_memory_within_budget_model(self, monkeypatch):
+        # with K = 64 the cold build keeps the kernel and its squared distances alive, and a
+        # warm plan adds one array, the gathered and scaled scores, beside the kernel
+        cold, warm = self.peaks_in_mk_arrays(monkeypatch, 4, 16)
+        assert cold <= 2.5 and warm <= 1.5
+
+    def test_peak_memory_at_four_control_points(self, monkeypatch):
+        # at K = 4, the smallest solvable lattice, the per-location arrays (lattice,
+        # coordinates, score rows, warp) weigh a quarter M x K each: about 5.5 arrays, the
+        # ceiling that MXK_ARRAYS_AT_PEAK is set from
+        cold, warm = self.peaks_in_mk_arrays(monkeypatch, 2, 2)
+        assert max(cold, warm) <= MXK_ARRAYS_AT_PEAK + 0.5
+
+
+class TestAttentionForLattice:
+    def test_no_gather(self, zero_attention):
+        assert attention_for_lattice(None, 32, 128) is None
+        assert attention_for_lattice(zero_attention(32 * 128, 64), 32, 128) is None
+        # a points file's 1024 rows on a 32x32 lattice are one row per location
+        assert attention_for_lattice(zero_attention(1024, 64), 32, 32) is None
+
+    @pytest.mark.parametrize("out_h, out_w",
+                             [(16, 64), (32, 128), (8, 128), (32, 32), (1, 1), (5, 70)])
+    def test_decoded_rows_nearest_neighbor(self, out_h, out_w):
+        att = DecodedAttention(np.zeros((1024, 64)))
+        rows = attention_for_lattice(att, out_h, out_w)
+        # the decoded pixel whose box holds the left/top edge of each output pixel's box
+        i, j = np.divmod(np.arange(out_h * out_w), out_w)
+        assert np.array_equal(rows, (i * 16 // out_h) * 64 + j * 64 // out_w)
+
+    @pytest.mark.parametrize("m", [10, 1023, 2048])
+    def test_other_row_counts_rejected(self, m, zero_attention):
+        for att in (zero_attention(m, 64), DecodedAttention(np.zeros((m, 64)))):
+            with pytest.raises(ValidationError):
+                attention_for_lattice(att, 32, 128)
+
+    @pytest.mark.parametrize("lam, beta", [(0.5, 1.0), (2.0, 0.7), (-0.3, 0.0)])
+    def test_gather_matches_resampled_scores(self, lam, beta):
+        _, t = random_transform(21, lam=lam, beta=beta)
+        scores = np.random.default_rng(21).uniform(-0.95, 0.95, (1024, 64))
+        rows = attention_for_lattice(DecodedAttention(scores), 24, 96)
+        got = build_sampling_grid(t, AttentionMatrix(scores), 24, 96, rows=rows)
+        want = build_sampling_grid(t, AttentionMatrix(scores[rows]), 24, 96)
+        assert got.coords.tobytes() == want.coords.tobytes()
+
+    @pytest.mark.parametrize("rows", [np.zeros(47, np.int64), np.zeros((6, 8), np.int64),
+                                      np.full(48, -1), np.full(48, 10), np.zeros(48),
+                                      np.zeros(48, bool), [0] * 47])
+    def test_bad_rows_rejected(self, rows, zero_attention):
+        _, t = random_transform(22)
+        with pytest.raises(ShapeError):
+            build_sampling_grid(t, zero_attention(10, 64), 6, 8, rows=rows)
 
 
 class TestOverlays:
