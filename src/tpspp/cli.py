@@ -29,7 +29,7 @@ EXIT_VALIDATION = 2
 EXIT_DEGENERATE = 3
 
 _DEGENERATE_ERRORS = (DegenerateGridError, SingularMatrixError)  # checked first: both are TpsErrors
-_VALIDATION_ERRORS = (TpsError, FileNotFoundError, IsADirectoryError, PermissionError)
+_VALIDATION_ERRORS = (TpsError, OSError)  # OSError: a path that cannot be read or written
 
 
 def _parse_pair(text, sep, what):

@@ -23,6 +23,10 @@ SAMPLING_PEAK_BYTES = 4 << 30
 MXK_ARRAYS_AT_PEAK = 6
 MAX_KERNEL_ENTRIES = SAMPLING_PEAK_BYTES // (8 * MXK_ARRAYS_AT_PEAK)
 
+# warp gathers at most this many float64 entries per neighbor at once: 512 KiB, which
+# stays in L2, e.g. 1024 output locations of a 64-channel map
+WARP_BLOCK_ENTRIES = 1 << 16
+
 
 @dataclass(frozen=True)
 class AttentionMatrix:
@@ -139,6 +143,8 @@ def warp(source, grid, border="zeros"):
 
     border="zeros": the frame is zeros, so out-of-range neighbors contribute 0;
     border="clamp": the frame repeats the edge; coordinates are clipped to the valid box first.
+    The framed map is a channels-last (pixels, C) table, and output locations are sampled
+    in blocks of WARP_BLOCK_ENTRIES // C, so each gathered block stays cache-sized.
     """
     source = np.asarray(source)
     if source.ndim != 3 or source.shape[1] < 1 or source.shape[2] < 1:
@@ -149,25 +155,29 @@ def warp(source, grid, border="zeros"):
     # with zeros, a coordinate a pixel or more outside reads nothing but zeros, so clipping
     # it to one pixel outside changes no output and keeps huge ones clear of the int64 cast
     lo = 0.0 if border == "clamp" else -1.0
-    with np.errstate(over="ignore"):
-        xs = (grid.coords[:, 0] + 1.0) / 2.0 * (w - 1)
-        ys = (grid.coords[:, 1] + 1.0) / 2.0 * (h - 1)
-    np.clip(xs, lo, w - 1 - lo, out=xs)
-    np.clip(ys, lo, h - 1 - lo, out=ys)
-
-    # capped so a coordinate on pixel w (or h) reads its far neighbor, weight 1, from the frame
-    x0 = np.minimum(np.floor(xs), w - 1)
-    y0 = np.minimum(np.floor(ys), h - 1)
-    fx = xs - x0
-    fy = ys - y0
-
-    framed = np.pad(source.astype(np.float64), ((0, 0), (1, 1), (1, 1)),
-                    mode="edge" if border == "clamp" else "constant").reshape(c, -1)
-    corner = ((y0 + 1.0) * (w + 2) + (x0 + 1.0)).astype(np.int64)  # flat index of (y0, x0)
-    out = np.zeros((c, xs.shape[0]), dtype=np.float64)
-    for offset, wgt in ((0, (1.0 - fx) * (1.0 - fy)), (1, fx * (1.0 - fy)),
-                        (w + 2, (1.0 - fx) * fy), (w + 3, fx * fy)):
-        neighbor = np.take(framed, corner + offset, axis=1)
-        neighbor *= wgt
-        out += neighbor
-    return out.reshape(c, grid.height, grid.width).astype(source.dtype)
+    framed = np.pad(source.astype(np.float64).transpose(1, 2, 0), ((1, 1), (1, 1), (0, 0)),
+                    mode="edge" if border == "clamp" else "constant").reshape(-1, c)
+    m = grid.coords.shape[0]
+    out = np.empty((c, m), dtype=source.dtype)
+    step = max(1, WARP_BLOCK_ENTRIES // c)
+    for start in range(0, m, step):
+        block = grid.coords[start:start + step]
+        with np.errstate(over="ignore"):
+            xs = (block[:, 0] + 1.0) / 2.0 * (w - 1)
+            ys = (block[:, 1] + 1.0) / 2.0 * (h - 1)
+        np.clip(xs, lo, w - 1 - lo, out=xs)
+        np.clip(ys, lo, h - 1 - lo, out=ys)
+        # capped so a coordinate on pixel w (or h) reads its far neighbor, weight 1, from the frame
+        x0 = np.minimum(np.floor(xs), w - 1)
+        y0 = np.minimum(np.floor(ys), h - 1)
+        fx = xs - x0
+        fy = ys - y0
+        corner = ((y0 + 1.0) * (w + 2) + (x0 + 1.0)).astype(np.int64)  # flat index of (y0, x0)
+        acc = np.zeros((len(block), c), dtype=np.float64)
+        for offset, wgt in ((0, (1.0 - fx) * (1.0 - fy)), (1, fx * (1.0 - fy)),
+                            (w + 2, (1.0 - fx) * fy), (w + 3, fx * fy)):
+            neighbor = np.take(framed, corner + offset, axis=0)
+            neighbor *= wgt[:, None]
+            acc += neighbor
+        out[:, start:start + step] = acc.T
+    return out.reshape(c, grid.height, grid.width)

@@ -25,6 +25,17 @@ def exit_code(*argv):
         return exc.code
 
 
+UNUSABLE_PATHS = ["under-a-file", "name-too-long"]
+
+
+def unusable_path(tmp_path, kind):
+    """A path with a regular file as a directory component, or a name too long to open."""
+    if kind == "under-a-file":
+        (tmp_path / "plain").write_bytes(b"")
+        return str(tmp_path / "plain" / "x.pgm")
+    return str(tmp_path / ("x" * 300 + ".pgm"))
+
+
 @pytest.fixture()
 def stripe(tmp_path):
     p = tmp_path / "in.pgm"
@@ -59,6 +70,12 @@ class TestSynth:
         assert run("synth", "--out", str(out), arg) == 2
         assert not out.exists()
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("kind", UNUSABLE_PATHS)
+    def test_unusable_out_path(self, tmp_path, capsys, kind):
+        assert run("synth", "--out", unusable_path(tmp_path, kind)) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not list(tmp_path.rglob("*.pgm"))
 
     def test_negative_zero_noise_is_no_noise(self, tmp_path):
         p1, p2 = tmp_path / "a.pgm", tmp_path / "b.pgm"
@@ -155,6 +172,20 @@ class TestRectify:
         assert run("rectify", "--image", str(stripe), source, str(path), "--out", str(out),
                    "--overlay", *args) == 2
         assert not list(tmp_path.glob("out*"))
+
+    @pytest.mark.parametrize("kind", UNUSABLE_PATHS)
+    @pytest.mark.parametrize("flag", ["--image", "--points", "--weights", "--out"])
+    def test_unusable_path(self, tmp_path, stripe, capsys, flag, kind):
+        pts, wpath = tmp_path / "pts.json", tmp_path / "w.tpsw"
+        fileio.export_grid_json(make_grid(4, 16), None, pts)
+        fileio.save_weights(network.init_weights(0), wpath)
+        source = "--weights" if flag == "--weights" else "--points"
+        paths = {"--image": str(stripe), source: str(wpath if source == "--weights" else pts),
+                 "--out": str(tmp_path / "out.pgm")}
+        paths[flag] = unusable_path(tmp_path, kind)
+        assert run("rectify", *[a for item in paths.items() for a in item], "--overlay") == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not list(tmp_path.rglob("out*")) and not list(tmp_path.rglob("x*"))
 
     def test_weights_grid_rejected_before_allocation(self, tmp_path, stripe):
         # the network regresses 64 points; a 10^10-point grid would need 160 GB

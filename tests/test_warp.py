@@ -12,9 +12,9 @@ from tpspp.errors import DegenerateGridError, ShapeError, ValidationError
 from tpspp.oracles import ClassicTps, bilinear_sample_scalar
 from tpspp.rectify import (annotate_points, attention_for_lattice, deformation_grid_image,
                             rectify_map)
-from tpspp.warp import (MAX_KERNEL_ENTRIES, MXK_ARRAYS_AT_PEAK, AttentionMatrix, SamplingGrid,
-                        basis_vector, build_sampling_grid, check_lattice, map_point,
-                        output_lattice, warp)
+from tpspp.warp import (MAX_KERNEL_ENTRIES, MXK_ARRAYS_AT_PEAK, WARP_BLOCK_ENTRIES,
+                        AttentionMatrix, SamplingGrid, basis_vector, build_sampling_grid,
+                        check_lattice, map_point, output_lattice, warp)
 
 
 def random_transform(seed, rows=4, cols=16, lam=0.5, beta=1.0):
@@ -314,6 +314,35 @@ class TestWarp:
         grid = SamplingGrid(1, 1, np.zeros((1, 2)))
         with pytest.raises(ValidationError):
             warp(src, grid, border="wrap")
+
+    @pytest.mark.parametrize("border", ["zeros", "clamp"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.uint8])
+    def test_block_boundaries_invisible(self, border, dtype):
+        rng = np.random.default_rng(15)
+        src = rng.uniform(0, 255, (64, 9, 13)).astype(dtype)
+        step = WARP_BLOCK_ENTRIES // 64
+        coords = rng.uniform(-1.3, 1.3, (3 * step + step // 2, 2))  # 3.5 blocks, some outside
+        got = warp(src, SamplingGrid(1, len(coords), coords), border=border)
+        alone = [warp(src, SamplingGrid(1, 1, p[None]), border=border) for p in coords]
+        assert got.dtype == src.dtype
+        assert got.tobytes() == np.concatenate(alone, axis=2).tobytes()
+
+    def test_memory_bounded_by_block(self):
+        # beside its output, the warp holds the float64 source, its framed copy and a few
+        # blocks of WARP_BLOCK_ENTRIES: about 2.3 MB here, whatever the number of locations
+        rng = np.random.default_rng(16)
+        src = rng.standard_normal((64, 16, 64)).astype(np.float32)
+        extra = []
+        for h, w in ((64, 256), (128, 256)):
+            grid = SamplingGrid(h, w, rng.uniform(-1.1, 1.1, (h * w, 2)))
+            tracemalloc.start()
+            try:
+                out = warp(src, grid)
+                extra.append(tracemalloc.get_traced_memory()[1] - out.nbytes)
+            finally:
+                tracemalloc.stop()
+        assert max(extra) < 4 << 20
+        assert abs(extra[1] - extra[0]) < 1 << 16
 
 
 def _axis_coordinate(n):
