@@ -6,8 +6,9 @@ are cast back to the input dtype, so float32 storage never limits the
 arithmetic below its documented tolerances.
 """
 
+import operator
+
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ShapeError, SingularMatrixError
 
@@ -68,18 +69,32 @@ def conv2d(x, kernel, bias, stride=1, pad=0):
         raise ShapeError(f"kernel channels {c} != input channels {x.shape[0]}")
     if bias.shape != (o,):
         raise ShapeError(f"bias shape {bias.shape} != ({o},)")
+    try:
+        stride = operator.index(stride)
+        pad = operator.index(pad)
+    except TypeError:
+        raise ShapeError(f"stride and pad must be integers, got {stride!r}, {pad!r}") from None
     if stride < 1:
         raise ShapeError(f"stride must be >= 1, got {stride}")
+    if pad < 0:
+        raise ShapeError(f"pad must be >= 0, got {pad}")
     h, w = x.shape[1], x.shape[2]
     if kh > h + 2 * pad or kw > w + 2 * pad:
         raise ShapeError(f"kernel {kh}x{kw} larger than padded input {h + 2 * pad}x{w + 2 * pad}")
 
-    xp = np.pad(x.astype(np.float64), ((0, 0), (pad, pad), (pad, pad)))
-    win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-    # one BLAS GEMM: contract (C, kh, kw) of the kernel with the window view -> (O, oh, ow)
-    out = np.tensordot(kernel.astype(np.float64), win, axes=([1, 2, 3], [0, 3, 4]))
-    out += bias.astype(np.float64)[:, None, None]
-    return out.astype(x.dtype)
+    # pad and cast in one copy, then fill the (C*kh*kw, oh*ow) im2col matrix
+    # with kh*kw strided slice copies; the GEMM is the only other pass
+    xp = np.zeros((c, h + 2 * pad, w + 2 * pad))
+    xp[:, pad:pad + h, pad:pad + w] = x
+    oh = (h + 2 * pad - kh) // stride + 1
+    ow = (w + 2 * pad - kw) // stride + 1
+    cols = np.empty((c, kh, kw, oh, ow))
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, i, j] = xp[:, i:i + stride * (oh - 1) + 1:stride, j:j + stride * (ow - 1) + 1:stride]
+    out = kernel.reshape(o, -1).astype(np.float64) @ cols.reshape(c * kh * kw, oh * ow)
+    out += bias.astype(np.float64)[:, None]
+    return out.reshape(o, oh, ow).astype(x.dtype)
 
 
 def upsample_x2(x):

@@ -38,9 +38,9 @@ class AttentionMatrix:
         s = np.asarray(self.scores, dtype=np.float64)
         if s.ndim != 2:
             raise ShapeError(f"attention scores must be a matrix, got rank {s.ndim}")
-        bad = np.argwhere(~(np.abs(s) < 1.0))
-        if bad.size:
-            i, j = bad[0]
+        inside = np.abs(s) < 1.0
+        if not inside.all():
+            i, j = np.argwhere(~inside)[0]
             raise ValidationError(f"attention score out of (-1,1) at row {i}, col {j}: {s[i, j]}")
         s.flags.writeable = False
         object.__setattr__(self, "scores", s)

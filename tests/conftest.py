@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from tpspp import network
 from tpspp.warp import AttentionMatrix
@@ -16,3 +17,22 @@ def zero_weights():
 def zero_attention():
     """Builds an all-zero (m, k) AttentionMatrix."""
     return lambda m, k: AttentionMatrix(np.zeros((m, k)))
+
+
+def _conv2d_tensordot(x, kernel, bias, stride=1, pad=0):
+    x = np.asarray(x)
+    c, kh, kw = np.shape(kernel)[1:]
+    xp = np.pad(x.astype(np.float64), ((0, 0), (pad, pad), (pad, pad)))
+    win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+    out = np.tensordot(np.asarray(kernel).astype(np.float64), win, axes=([1, 2, 3], [0, 3, 4]))
+    out += np.asarray(bias).astype(np.float64)[:, None, None]
+    # the window matrix as tensordot forms it is C-contiguous unless its reshape needed
+    # no copy and left a strided view of xp, which BLAS then reads through another kernel
+    contiguous = win.transpose(0, 3, 4, 1, 2).reshape(c * kh * kw, -1).flags.c_contiguous
+    return out.astype(x.dtype), contiguous
+
+
+@pytest.fixture(scope="session")
+def conv2d_tensordot():
+    """The window-view tensordot reference for conv2d: (output, whether its GEMM operand was C-contiguous)."""
+    return _conv2d_tensordot

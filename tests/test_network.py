@@ -2,6 +2,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tpspp import network, rectify, synth
 from tpspp.errors import MissingParameterError, ShapeError
@@ -81,6 +83,21 @@ class TestMsfa:
     def test_golden_checksums(self, pair):
         assert sha(pair.f_e) == GOLDEN_FE
         assert sha(pair.f_d) == GOLDEN_FD
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 64), st.integers(1, 16), st.integers(2, 64), st.integers(0, 2**32 - 1))
+def test_avgpool_equals_two_axis_mean_bytes(c, h2, w2, seed):
+    # float32 values whose exponents spread over 2^-60..2^60, so that the order of the
+    # float64 adds can show after the cast back; sizes up to msfa's 64x32x128. At an
+    # output width of 1 numpy merges the two reduced axes into one run of 4 and sums it
+    # in sequence, so mean's order differs there; msfa never pools to width 1
+    rng = np.random.default_rng(seed)
+    shape = (c, 2 * h2, 2 * w2)
+    x = (rng.standard_normal(shape) * 2.0 ** rng.integers(-60, 61, shape)).astype(np.float32)
+    want = x.reshape(c, h2, 2, w2, 2).mean(axis=(2, 4), dtype=np.float64).astype(x.dtype)
+    got = network._avgpool2x2(x)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestCbam:

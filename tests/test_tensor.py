@@ -116,6 +116,12 @@ class TestConv2d:
             tensor.conv2d(np.zeros((1, 2, 2), np.float32),
                           np.zeros((1, 1, 5, 5), np.float32), np.zeros(1, np.float32))
 
+    @pytest.mark.parametrize("kwargs", [{"pad": -1}, {"pad": 1.5}, {"stride": 0}, {"stride": 1.5}])
+    def test_stride_and_pad_must_be_valid_integers(self, kwargs):
+        with pytest.raises(ShapeError):
+            tensor.conv2d(np.zeros((1, 4, 4), np.float32),
+                          np.zeros((1, 1, 3, 3), np.float32), np.zeros(1, np.float32), **kwargs)
+
 
 # (stride, pad) of every distinct convolution in network.py; shapes come from WEIGHT_MANIFEST
 NETWORK_CONVS = {
@@ -254,3 +260,39 @@ def test_activations_finite(values):
     x = np.array(values)
     for fn in (tensor.tanh, tensor.sigmoid, tensor.relu):
         assert np.all(np.isfinite(fn(x)))
+
+
+@st.composite
+def tensordot_cases(draw):
+    c, o = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    kh, kw = draw(st.sampled_from((1, 2, 3, 7))), draw(st.sampled_from((1, 2, 3, 7)))
+    stride, pad = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    h = draw(st.integers(max(1, kh - 2 * pad), kh - 2 * pad + 8))
+    w = draw(st.integers(max(1, kw - 2 * pad), kw - 2 * pad + 8))
+    x_dtype = draw(st.sampled_from((np.float32, np.float64, np.int32)))
+    k_dtype = draw(st.sampled_from((np.float32, np.float64)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return c, o, h, w, kh, kw, stride, pad, x_dtype, k_dtype, seed
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=tensordot_cases())
+def test_conv_equals_tensordot_reference_bytes(case, conv2d_tensordot):
+    c, o, h, w, kh, kw, stride, pad, x_dtype, k_dtype, seed = case
+    rng = np.random.default_rng(seed)
+    if x_dtype is np.int32:
+        x = rng.integers(-1000, 1000, (c, h, w)).astype(np.int32)
+    else:
+        x = (rng.standard_normal((c, h, w)) * 2.0 ** rng.integers(-20, 21, (c, h, w))).astype(x_dtype)
+    k = rng.standard_normal((o, c, kh, kw)).astype(k_dtype)
+    b = rng.standard_normal(o).astype(k_dtype)
+    got = tensor.conv2d(x, k, b, stride=stride, pad=pad)
+    want, contiguous = conv2d_tensordot(x, k, b, stride=stride, pad=pad)
+    assert got.dtype == want.dtype == x.dtype and got.shape == want.shape
+    if contiguous:  # every network convolution, and all but a few edge shapes
+        assert got.tobytes() == want.tobytes()
+    else:
+        # the float64 sums may round differently, then move by one unit of x.dtype
+        unit = np.finfo(x.dtype).eps * np.abs(want.astype(np.float64)) if x.dtype.kind == "f" else 1.0
+        scale = np.abs(k).astype(np.float64).sum() * np.abs(x).max() + np.abs(b).max()
+        assert np.all(np.abs(got.astype(np.float64) - want) <= unit + 1e-13 * scale)

@@ -32,6 +32,13 @@ class TestAttentionMatrix:
         with pytest.raises(ValidationError, match="row 1, col 2"):
             AttentionMatrix(np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.5]]))
 
+    def test_error_names_first_bad_entry_in_row_major_order(self):
+        s = np.zeros((3, 4))
+        s[2, 0] = -1.0
+        s[1, 3] = np.nan
+        with pytest.raises(ValidationError, match="row 1, col 3"):
+            AttentionMatrix(s)
+
     def test_zeros(self, zero_attention):
         a = zero_attention(6, 4)
         assert a.m_locations == 6 and a.k_points == 4

@@ -1,0 +1,79 @@
+"""Print one `name sha256` line per output array of a fixed set of rectifications.
+
+Two trees that print the same lines compute byte-identical outputs, so
+comparing them takes one diff:
+
+    python3 tools/output_digest.py > new.txt
+    (cd ../parent && python3 tools/output_digest.py) > old.txt
+    diff old.txt new.txt
+
+The set covers the paper's full path and the network-free one:
+- `rectify_with_network` with `init_weights(3)` and a seeded nonzero
+  `aipe.offset2`, on stripe images at out-sizes 32x128, 16x64, 32x32, 8x128;
+- `rectify_map` on a 64-channel float32 map at 16x64, 32x128 and 64x256,
+  with null and decoded scores, under both borders.
+Each digest covers the array's dtype and shape as well as its bytes.
+"""
+
+import hashlib
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+import numpy as np  # noqa: E402
+
+from tpspp import network, rectify, synth, tps  # noqa: E402
+
+LAM, BETA = 0.5, 1.0
+
+
+def digest(a):
+    a = np.ascontiguousarray(a)
+    h = hashlib.sha256(f"{a.dtype.str} {a.shape} ".encode())
+    h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def network_outputs():
+    tensors = dict(network.init_weights(3).items())
+    rng = np.random.default_rng(3)
+    for name in ("aipe.offset2.weight", "aipe.offset2.bias"):
+        tensors[name] = rng.uniform(-0.05, 0.05, tensors[name].shape).astype(np.float32)
+    weights = network.WeightStore(tensors)
+    grid = tps.make_grid(4, 16)
+    for i, (out_h, out_w) in enumerate([(32, 128), (16, 64), (32, 32), (8, 128)]):
+        image = synth.make_stripe_image(i, amplitude=2.0 + i)
+        warped, sampling, regressed, attention = rectify.rectify_with_network(
+            image, weights, grid, LAM, BETA, out_h, out_w)
+        name = f"network.{out_h}x{out_w}"
+        yield f"{name}.warped", warped
+        yield f"{name}.coords", sampling.coords
+        yield f"{name}.offsets", regressed.offsets
+        yield f"{name}.scores", attention.scores
+
+
+def map_outputs():
+    rng = np.random.default_rng(7)
+    source = rng.standard_normal((64, 16, 64)).astype(np.float32)
+    grid = tps.make_grid(4, 16)
+    grid = grid.with_offsets(rng.uniform(-0.1, 0.1, grid.base.shape))
+    decoded = network.DecodedAttention(rng.uniform(-0.9, 0.9, (network.DEC_H * network.DEC_W, grid.k)))
+    for out_h, out_w in [(16, 64), (32, 128), (64, 256)]:
+        for scores, attention in [("null", None), ("decoded", decoded)]:
+            for border in ("zeros", "clamp"):
+                warped, sampling = rectify.rectify_map(source, grid, attention, LAM, BETA,
+                                                       out_h, out_w, border=border)
+                name = f"map.{out_h}x{out_w}.{scores}.{border}"
+                yield f"{name}.warped", warped
+                yield f"{name}.coords", sampling.coords
+
+
+def main():
+    for outputs in (network_outputs(), map_outputs()):
+        for name, array in outputs:
+            print(name, digest(array))
+
+
+if __name__ == "__main__":
+    main()
