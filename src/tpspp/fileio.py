@@ -216,7 +216,7 @@ def import_grid_json(path):
     if offsets.shape != (k, 2):
         raise ValidationError(f"offsets shape {offsets.shape} != ({k}, 2)")
     grid = make_grid(rows, cols)
-    if np.abs(base - grid.base).max() > 1e-9:
+    if not np.all(np.abs(base - grid.base) <= 1e-9):  # False for NaN too
         raise ValidationError("base points do not form the uniform [-1,1] lattice")
     if not np.all(np.isfinite(offsets)):
         raise ValidationError("offsets contain non-finite values")

@@ -82,10 +82,12 @@ def conv2d(x, kernel, bias, stride=1, pad=0):
     if kh > h + 2 * pad or kw > w + 2 * pad:
         raise ShapeError(f"kernel {kh}x{kw} larger than padded input {h + 2 * pad}x{w + 2 * pad}")
 
-    # pad and cast in one copy, then fill the (C*kh*kw, oh*ow) im2col matrix
-    # with kh*kw strided slice copies; the GEMM is the only other pass
-    xp = np.zeros((c, h + 2 * pad, w + 2 * pad))
-    xp[:, pad:pad + h, pad:pad + w] = x
+    # pad and cast in one copy (none without padding), then fill the (C*kh*kw, oh*ow)
+    # im2col matrix with kh*kw strided slice copies; the GEMM is the only other pass
+    xp = x
+    if pad:
+        xp = np.zeros((c, h + 2 * pad, w + 2 * pad))
+        xp[:, pad:pad + h, pad:pad + w] = x
     oh = (h + 2 * pad - kh) // stride + 1
     ow = (w + 2 * pad - kw) // stride + 1
     cols = np.empty((c, kh, kw, oh, ow))

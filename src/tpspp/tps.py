@@ -29,9 +29,14 @@ DEFAULT_BETA = 1.0
 
 # The cache keeps at most this many bytes, least recently used out first: the plans of the
 # lattices a rectifier works at fit (a 64x256 output with K = 64 has an 8 MiB kernel), while
-# a large output's kernel (716 MB at warp.MAX_KERNEL_ENTRIES) is built, used and dropped
-# instead of staying resident
+# a large output's kernel (716 MB at warp.MAX_KERNEL_ENTRIES) is not kept: lattice_kernel
+# builds and returns it, and warp.build_sampling_grid builds its rows block by block instead
 PLAN_CACHE_BYTES = 32 << 20
+
+# The system solve is an O(K^3) LU with a Python loop over its K+3 columns: about 3 s at
+# K = 1024 and 30 s at K = 2048 on a 2.1 GHz Xeon, so a larger K is rejected before its
+# (K+3)^2 system is allocated (3.77 GiB at K = 22500, a 150x150 grid)
+MAX_CONTROL_POINTS = 1024
 
 
 def _frozen(arr):
@@ -127,8 +132,12 @@ def interpolation_system(grid):
 
     Rows 0..K-1 enforce interpolation of the regressed points; the last
     three rows are the side conditions sum(w) = sum(w*x) = sum(w*y) = 0.
+    More than MAX_CONTROL_POINTS points raise InvalidGridError before anything is allocated.
     """
     k = grid.k
+    if k > MAX_CONTROL_POINTS:
+        raise InvalidGridError(f"grid {grid.rows}x{grid.cols} has {k} points, above the "
+                               f"bound of {MAX_CONTROL_POINTS}")
     p = np.hstack([np.ones((k, 1)), grid.base])  # (K, 3): [1, x, y]
     m = np.zeros((k + 3, k + 3))
     m[:k, :3] = p
@@ -193,6 +202,11 @@ def lattice_kernel(centers, out_h, out_w):
     centers = np.ascontiguousarray(centers, dtype=np.float64)
     return _PLANS.get(("kernel", centers.tobytes(), out_h, out_w),
                       lambda: kernel_between(output_lattice(out_h, out_w), centers))
+
+
+def plan_keeps(nbytes):
+    """Whether the plan cache would keep an array of nbytes."""
+    return nbytes <= _PLANS.budget
 
 
 def solve_transform(grid, lam=DEFAULT_LAMBDA, beta=DEFAULT_BETA):

@@ -11,11 +11,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGridError, ShapeError, ValidationError
-from .tps import kernel_between, lattice_kernel, output_lattice
+from .tps import kernel_between, lattice_kernel, output_lattice, plan_keeps
 
 # A rectification keeps at most six float64 M x K arrays' worth alive (tracemalloc, K = 4
-# to 64, cold or warm plan cache): 2.2 with K = 64 (a cold kernel and its squared distances),
-# 5.5 with K = 4, the smallest solvable lattice, whose per-location arrays weigh a quarter
+# to 64, cold or warm plan cache). With K = 64: 2.2 while the plan cache builds a kernel
+# (the kernel and its squared distances), 0.34 once it is cached, 0.11 for a kernel over
+# the cache budget, whose rows build_sampling_grid builds block by block. With K = 4, the
+# smallest solvable lattice, 5.8 at 32x256: the per-location arrays weigh a quarter M x K
 # each. M x K is capped to hold six under 4 GiB: 89_478_485 entries, e.g. a 1280x960 output
 # with the default 64 control points. The plan cache itself retains at most
 # tps.PLAN_CACHE_BYTES.
@@ -23,8 +25,9 @@ SAMPLING_PEAK_BYTES = 4 << 30
 MXK_ARRAYS_AT_PEAK = 6
 MAX_KERNEL_ENTRIES = SAMPLING_PEAK_BYTES // (8 * MXK_ARRAYS_AT_PEAK)
 
-# warp gathers at most this many float64 entries per neighbor at once: 512 KiB, which
-# stays in L2, e.g. 1024 output locations of a 64-channel map
+# warp gathers at most this many float64 entries per neighbor at once, and
+# build_sampling_grid scales about as many kernel entries per block: 512 KiB, which stays
+# in L2, e.g. 1024 output locations of a 64-channel map or of 64 control points
 WARP_BLOCK_ENTRIES = 1 << 16
 
 
@@ -103,7 +106,7 @@ def check_lattice(out_h, out_w, k):
 
 
 def build_sampling_grid(transform, attention, out_h, out_w, *, rows=None):
-    """Map the whole output lattice through the transform at once.
+    """Map the output lattice through the transform, one block of locations at a time.
 
     attention=None stands for all-zero scores: every kernel term is then scaled by
     beta alone. Location m reads score row rows[m] of an (M,) integer array, or
@@ -111,7 +114,7 @@ def build_sampling_grid(transform, attention, out_h, out_w, *, rows=None):
     DegenerateGridError from SamplingGrid.
     """
     check_lattice(out_h, out_w, transform.k)
-    m = out_h * out_w
+    m, k = out_h * out_w, transform.k
     if attention is not None:
         if rows is None and attention.m_locations != m:
             raise ShapeError(f"attention has {attention.m_locations} rows, lattice has {m}")
@@ -119,22 +122,35 @@ def build_sampling_grid(transform, attention, out_h, out_w, *, rows=None):
         if rows is not None and not (rows.shape == (m,) and rows.dtype.kind in "iu" and
                                      0 <= rows.min() and rows.max() < attention.m_locations):
             raise ShapeError(f"rows must give one of {attention.m_locations} rows per location")
-        if attention.k_points != transform.k:
-            raise ShapeError(
-                f"attention has {attention.k_points} cols, transform has K={transform.k}")
-    u = lattice_kernel(transform.centers, out_h, out_w)  # (M, K), read-only
-    t = transform.t_matrix
+        if attention.k_points != k:
+            raise ShapeError(f"attention has {attention.k_points} cols, transform has K={k}")
+    lattice = output_lattice(out_h, out_w)
+    centers, t = transform.centers, transform.t_matrix
+    # kernel rows come from the plan cache when it keeps the kernel, else are built per block
+    kernel = lattice_kernel(centers, out_h, out_w) if plan_keeps(8 * m * k) else None
     lam, beta = transform.lam, transform.beta
+    # every block has the same row count, the last one overlapping its predecessor: a
+    # shorter block takes another BLAS path and moves the coordinates' last bits
+    step = min(m, max(1024, WARP_BLOCK_ENTRIES // k))
+    scaled = np.empty((step, k))
+    coords = np.empty((m, 2))
     with np.errstate(over="ignore", invalid="ignore"):  # SamplingGrid rejects non-finite coords
-        if attention is None:
-            scaled = u * beta
-        else:  # lam * a + beta on the scores' own rows, gathered into the one M x K array
-            scaled = attention.scores * lam
-            scaled += beta
-            if rows is not None:
-                scaled = np.take(scaled, rows, axis=0)
-            scaled *= u
-        coords = scaled @ t[:, 3:].T + output_lattice(out_h, out_w) @ t[:, 1:3].T + t[:, 0]
+        # lam * a + beta on the scores' own rows, gathered per block ("clip": rows are in range)
+        gathered = None if attention is None or rows is None else attention.scores * lam + beta
+        for start in range(0, m, step):
+            start = min(start, m - step)
+            block = slice(start, start + step)
+            u = kernel_between(lattice[block], centers) if kernel is None else kernel[block]
+            if attention is None:
+                np.multiply(u, beta, out=scaled)
+            elif rows is None:
+                np.multiply(attention.scores[block], lam, out=scaled)
+                scaled += beta
+                scaled *= u
+            else:
+                np.take(gathered, rows[block], axis=0, out=scaled, mode="clip")
+                scaled *= u
+            coords[block] = scaled @ t[:, 3:].T + lattice[block] @ t[:, 1:3].T + t[:, 0]
     return SamplingGrid(out_h, out_w, coords)
 
 

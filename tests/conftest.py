@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from tpspp import network
+from tpspp import network, tps
 from tpspp.warp import AttentionMatrix
 
 
@@ -36,3 +36,25 @@ def _conv2d_tensordot(x, kernel, bias, stride=1, pad=0):
 def conv2d_tensordot():
     """The window-view tensordot reference for conv2d: (output, whether its GEMM operand was C-contiguous)."""
     return _conv2d_tensordot
+
+
+def _sampling_coords_one_gemm(transform, attention, out_h, out_w, rows=None):
+    lattice = tps.output_lattice(out_h, out_w)
+    u = tps.kernel_between(lattice, transform.centers)
+    t = transform.t_matrix
+    with np.errstate(over="ignore", invalid="ignore"):
+        if attention is None:
+            scaled = u * transform.beta
+        else:
+            scaled = attention.scores * transform.lam
+            scaled += transform.beta
+            if rows is not None:
+                scaled = np.take(scaled, rows, axis=0)
+            scaled *= u
+        return scaled @ t[:, 3:].T + lattice @ t[:, 1:3].T + t[:, 0]
+
+
+@pytest.fixture(scope="session")
+def sampling_coords_one_gemm():
+    """The whole-lattice reference for build_sampling_grid: one M x K array, one GEMM."""
+    return _sampling_coords_one_gemm

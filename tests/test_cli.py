@@ -203,6 +203,14 @@ class TestRectify:
         assert not out.exists()
         assert peak < 1 << 20
 
+    def test_too_many_control_points_exit_2(self, tmp_path, stripe):
+        pts = tmp_path / "pts.json"
+        fileio.export_grid_json(make_grid(150, 150), None, pts)
+        out = tmp_path / "out.pgm"
+        assert run("rectify", "--image", str(stripe), "--points", str(pts), "--out", str(out),
+                   "--overlay") == 2
+        assert not list(tmp_path.glob("out*"))
+
     def test_non_finite_transform_exit_3(self, tmp_path, stripe):
         pts = tmp_path / "pts.json"
         signs = np.random.default_rng(0).choice([-1.0, 1.0], (64, 2))

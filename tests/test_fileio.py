@@ -223,6 +223,9 @@ MALFORMED_POINTS = [
     pytest.param(_points_doc(**{"lambda": "x"}), ValidationError, id="lambda-string"),
     pytest.param(_points_doc(**{"lambda": None}), ValidationError, id="lambda-null"),
     pytest.param(_points_doc(attention="abc"), ValidationError, id="attention-string"),
+    # NaN compares False with the 1e-9 lattice tolerance, so it must fail the check, not pass it
+    pytest.param(_points_doc(base=[[float("nan"), -1.0], [1.0, -1.0], [-1.0, 1.0], [1.0, 1.0]]),
+                 ValidationError, id="base-nan"),
     pytest.param(b"5", ValidationError, id="top-level-number"),
     pytest.param(b"null", ValidationError, id="top-level-null"),
     pytest.param(b'{"rows": "\xff\xfe"}', FormatError, id="non-utf8"),
@@ -305,3 +308,4 @@ class TestGridJson:
         points.write_bytes(blob)
         assert main(["rectify", "--image", str(image), "--points", str(points),
                      "--out", str(tmp_path / "o.pgm")]) == 2
+        assert not (tmp_path / "o.pgm").exists()

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -121,6 +122,21 @@ class TestKernelMatrix:
 
 
 class TestSolveTransform:
+    def test_control_points_bounded_before_allocation(self):
+        g = tps.make_grid(150, 150)  # K = 22500: a 3.77 GiB (K+3)^2 system
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidGridError, match="22500 points"):
+                tps.solve_transform(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        with pytest.raises(InvalidGridError):
+            tps.interpolation_system(tps.make_grid(1, tps.MAX_CONTROL_POINTS + 1))
+        m, _ = tps.interpolation_system(tps.make_grid(32, 32))  # the bound itself is admitted
+        assert tps.MAX_CONTROL_POINTS == 1024 and m.shape == (1027, 1027)
+
     def test_identity(self):
         t = tps.solve_transform(tps.make_grid(4, 16))
         assert np.abs(t.t_matrix[:, 0]).max() <= 1e-9

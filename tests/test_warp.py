@@ -1,9 +1,10 @@
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tpspp import tps
@@ -191,10 +192,17 @@ class TestBuildSamplingGrid:
         return peaks
 
     def test_peak_memory_within_budget_model(self, monkeypatch):
-        # with K = 64 the cold build keeps the kernel and its squared distances alive, and a
-        # warm plan adds one array, the gathered and scaled scores, beside the kernel
+        # with K = 64 the cold build keeps the kernel and its squared distances alive; a warm
+        # plan adds only the per-location arrays and one block of scaled kernel rows (0.34)
         cold, warm = self.peaks_in_mk_arrays(monkeypatch, 4, 16)
-        assert cold <= 2.5 and warm <= 1.5
+        assert cold <= 2.5 and warm <= 0.4
+
+    def test_uncached_kernel_built_per_block(self, monkeypatch):
+        # a VGA output's 157 MB kernel is over the plan budget: its rows are built one block
+        # at a time and never kept, so the peak is the per-location arrays (0.11)
+        cold, warm = self.peaks_in_mk_arrays(monkeypatch, 4, 16, 480, 640)
+        assert max(cold, warm) < 0.25
+        assert [key[0] for key in tps._PLANS._arrays] == ["inverse"]
 
     def test_peak_memory_at_four_control_points(self, monkeypatch):
         # at K = 4, the smallest solvable lattice, the per-location arrays (lattice,
@@ -407,6 +415,37 @@ def test_sampling_grid_matches_map_point(case):
     want = np.array([map_point(p, t, zero if scores is None else scores[m])
                      for m, p in enumerate(output_lattice(out_h, out_w))])
     assert np.abs(got - want).max() <= 1e-9
+
+
+GRIDS = [(2, 2), (2, 3), (3, 5), (4, 16), (5, 7), (8, 8), (8, 16)]  # K = 4 to 128
+
+
+# blocks hold max(1024, WARP_BLOCK_ENTRIES // K) locations, the last overlapping its
+# predecessor; the examples end mid-block at K = 64, 128 and 4
+@settings(max_examples=60, deadline=None)
+@given(shape=st.sampled_from(GRIDS), out_h=st.integers(1, 150), out_w=st.integers(1, 150),
+       kind=st.sampled_from(["null", "decoded", "per-location"]), cached=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+@example(shape=(4, 16), out_h=17, out_w=63, kind="decoded", cached=True, seed=0)
+@example(shape=(8, 16), out_h=33, out_w=100, kind="per-location", cached=False, seed=1)
+@example(shape=(2, 2), out_h=129, out_w=131, kind="null", cached=True, seed=2)
+def test_blocked_sampling_grid_matches_one_gemm(sampling_coords_one_gemm, shape, out_h, out_w,
+                                                kind, cached, seed):
+    rng = np.random.default_rng(seed)
+    g = tps.make_grid(*shape)
+    g = g.with_offsets(rng.uniform(-0.2, 0.2, g.base.shape))
+    m = out_h * out_w
+    att = rows = None
+    if kind == "decoded":
+        att = DecodedAttention(rng.uniform(-0.99, 0.99, (1024, g.k)))
+        rows = attention_for_lattice(att, out_h, out_w)
+    elif kind == "per-location":
+        att = AttentionMatrix(rng.uniform(-0.99, 0.99, (m, g.k)))
+    with mock.patch.object(tps, "_PLANS", tps._PlanCache(tps.PLAN_CACHE_BYTES if cached else 0)):
+        t = tps.solve_transform(g, lam=rng.uniform(-2.0, 2.0), beta=rng.uniform(-2.0, 2.0))
+        got = build_sampling_grid(t, att, out_h, out_w, rows=rows).coords
+        assert [key[0] for key in tps._PLANS._arrays] == (["inverse", "kernel"] if cached else [])
+    assert got.tobytes() == sampling_coords_one_gemm(t, att, out_h, out_w, rows).tobytes()
 
 
 class TestProperties:

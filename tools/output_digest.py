@@ -11,7 +11,11 @@ The set covers the paper's full path and the network-free one:
 - `rectify_with_network` with `init_weights(3)` and a seeded nonzero
   `aipe.offset2`, on stripe images at out-sizes 32x128, 16x64, 32x32, 8x128;
 - `rectify_map` on a 64-channel float32 map at 16x64, 32x128 and 64x256,
-  with null and decoded scores, under both borders.
+  with null and decoded scores, under both borders;
+- `rectify_map` where the sampling grid's blocks of locations end mid-lattice:
+  17x63 and 65x257 with 4x16 control points, 33x100 with 2x2 and 8x16, each
+  with null, decoded and per-location scores, and 480x640 with 4x16, whose
+  kernel is over the plan cache budget and built block by block.
 Each digest covers the array's dtype and shape as well as its bytes.
 """
 
@@ -24,6 +28,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 from tpspp import network, rectify, synth, tps  # noqa: E402
+from tpspp.warp import AttentionMatrix  # noqa: E402
 
 LAM, BETA = 0.5, 1.0
 
@@ -69,8 +74,26 @@ def map_outputs():
                 yield f"{name}.coords", sampling.coords
 
 
+def block_edge_outputs():
+    rng = np.random.default_rng(11)
+    source = rng.standard_normal((4, 16, 64)).astype(np.float32)
+    for (rows, cols), out_h, out_w in [((4, 16), 17, 63), ((4, 16), 65, 257), ((2, 2), 33, 100),
+                                       ((8, 16), 33, 100), ((4, 16), 480, 640)]:
+        grid = tps.make_grid(rows, cols)
+        grid = grid.with_offsets(rng.uniform(-0.1, 0.1, grid.base.shape))
+        scores = {"null": None,
+                  "decoded": network.DecodedAttention(rng.uniform(-0.9, 0.9, (1024, grid.k)))}
+        if out_h * out_w < 1 << 16:  # per-location scores are themselves M x K
+            scores["located"] = AttentionMatrix(rng.uniform(-0.9, 0.9, (out_h * out_w, grid.k)))
+        for kind, attention in scores.items():
+            warped, sampling = rectify.rectify_map(source, grid, attention, LAM, BETA, out_h, out_w)
+            name = f"edge.{rows}x{cols}.{out_h}x{out_w}.{kind}"
+            yield f"{name}.warped", warped
+            yield f"{name}.coords", sampling.coords
+
+
 def main():
-    for outputs in (network_outputs(), map_outputs()):
+    for outputs in (network_outputs(), map_outputs(), block_edge_outputs()):
         for name, array in outputs:
             print(name, digest(array))
 
