@@ -43,16 +43,15 @@ class WeightStore:
         self._tensors = store
 
     def __getitem__(self, name):
+        """The forwards' one read of a parameter: a manifest name must have its manifest shape."""
         try:
-            return self._tensors[name]
+            arr = self._tensors[name]
         except KeyError:
             raise MissingParameterError(f"weight {name!r} not found") from None
-
-    def __contains__(self, name):
-        return name in self._tensors
-
-    def __iter__(self):
-        return iter(sorted(self._tensors))
+        shape = WEIGHT_MANIFEST.get(name, arr.shape)
+        if arr.shape != shape:
+            raise ShapeError(f"weight {name!r} has shape {arr.shape}, the manifest says {shape}")
+        return arr
 
     def __len__(self):
         return len(self._tensors)
@@ -192,7 +191,7 @@ def _avgpool2x2(x):
     return out.astype(x.dtype)
 
 
-def cbam_forward(x, w, prefix="msfa.cbam"):
+def cbam_forward(x, w):
     """Channel gate then spatial gate, both multiplicative."""
     x = np.asarray(x)
     c = x.shape[0]
@@ -200,8 +199,8 @@ def cbam_forward(x, w, prefix="msfa.cbam"):
         raise ShapeError(f"channels {c} not divisible by reduction {CBAM_REDUCTION}")
 
     def mlp(v):
-        h = tensor.relu(_linear(v[None, :], w[f"{prefix}.mlp1.weight"], w[f"{prefix}.mlp1.bias"]))
-        return _linear(h, w[f"{prefix}.mlp2.weight"], w[f"{prefix}.mlp2.bias"])[0]
+        h = tensor.relu(_linear(v[None, :], w["msfa.cbam.mlp1.weight"], w["msfa.cbam.mlp1.bias"]))
+        return _linear(h, w["msfa.cbam.mlp2.weight"], w["msfa.cbam.mlp2.bias"])[0]
 
     avg = x.mean(axis=(1, 2), dtype=np.float64).astype(x.dtype)
     mx = x.max(axis=(1, 2))
@@ -209,8 +208,8 @@ def cbam_forward(x, w, prefix="msfa.cbam"):
     x = x * gate_c[:, None, None]
 
     stat = np.stack([tensor.reduce_mean(x, 0), x.max(axis=0)])
-    gate_s = tensor.sigmoid(tensor.conv2d(stat, w[f"{prefix}.spatial.weight"],
-                                          w[f"{prefix}.spatial.bias"], stride=1, pad=3))
+    gate_s = tensor.sigmoid(tensor.conv2d(stat, w["msfa.cbam.spatial.weight"],
+                                          w["msfa.cbam.spatial.bias"], stride=1, pad=3))
     return x * gate_s[0]
 
 

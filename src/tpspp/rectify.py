@@ -53,12 +53,12 @@ def _pixels(points, h, w):
     return zip(px[inside].astype(int), py[inside].astype(int))
 
 
-def annotate_points(image, grid, radius=1):
-    """Copy of a (1,H,W) image with regressed points marked bright."""
+def annotate_points(image, grid):
+    """Copy of a (1,H,W) image with each regressed point marked by a bright 3x3 square."""
     img = np.array(image[0], dtype=np.float32)
     h, w = img.shape
     for cx, cy in _pixels(grid.regressed, h, w):
-        img[max(cy - radius, 0):cy + radius + 1, max(cx - radius, 0):cx + radius + 1] = 1.0
+        img[max(cy - 1, 0):cy + 2, max(cx - 1, 0):cx + 2] = 1.0
     return img[None, :, :]
 
 

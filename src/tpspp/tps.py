@@ -27,10 +27,10 @@ DEFAULT_COLS = 16
 DEFAULT_LAMBDA = 0.5
 DEFAULT_BETA = 1.0
 
-# The cache keeps at most this many bytes, least recently used out first: the plans of the
-# lattices a rectifier works at fit (a 64x256 output with K = 64 has an 8 MiB kernel), while
-# a large output's kernel (716 MB at warp.MAX_KERNEL_ENTRIES) is not kept: lattice_kernel
-# builds and returns it, and warp.build_sampling_grid builds its rows block by block instead
+# The cache keeps at most this many bytes, least recently used out first. lattice_kernel
+# keeps an M x K kernel only where it fits beside its lattice's (K+3) x K inverse, so one
+# request never evicts its own plan: a 64x256 output with K = 64 (8 MiB) is kept, a 256x256
+# one (32 MiB) is not. An inverse fits at MAX_CONTROL_POINTS (8.4 MB).
 PLAN_CACHE_BYTES = 32 << 20
 
 # The system solve is an O(K^3) LU with a Python loop over its K+3 columns: about 3 s at
@@ -151,7 +151,7 @@ def interpolation_system(grid):
 class _PlanCache:
     """Read-only arrays by key, at most `budget` bytes retained, least recently used out first.
 
-    A value larger than the budget is returned and not stored; a build that raises stores nothing.
+    A build that raises stores nothing.
     """
 
     def __init__(self, budget):
@@ -166,8 +166,6 @@ class _PlanCache:
                 self._arrays.move_to_end(key)
                 return self._arrays[key]
         arr = _frozen(build())
-        if arr.nbytes > self.budget:
-            return arr
         with self._lock:
             if key not in self._arrays:
                 self._arrays[key] = arr
@@ -198,15 +196,14 @@ def system_inverse(grid):
 
 
 def lattice_kernel(centers, out_h, out_w):
-    """Read-only (M, K) kernel U(|p_m - c_k|) of the out_h x out_w output lattice, cached."""
+    """Read-only (M, K) kernel U(|p_m - c_k|) of the out_h x out_w output lattice, cached;
+    None, with nothing built, where it would not fit the plan cache beside its (K+3, K) inverse."""
     centers = np.ascontiguousarray(centers, dtype=np.float64)
+    k = centers.shape[0]
+    if 8 * (out_h * out_w + k + 3) * k > _PLANS.budget:
+        return None
     return _PLANS.get(("kernel", centers.tobytes(), out_h, out_w),
                       lambda: kernel_between(output_lattice(out_h, out_w), centers))
-
-
-def plan_keeps(nbytes):
-    """Whether the plan cache would keep an array of nbytes."""
-    return nbytes <= _PLANS.budget
 
 
 def solve_transform(grid, lam=DEFAULT_LAMBDA, beta=DEFAULT_BETA):

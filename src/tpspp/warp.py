@@ -11,16 +11,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGridError, ShapeError, ValidationError
-from .tps import kernel_between, lattice_kernel, output_lattice, plan_keeps
+from .tps import kernel_between, lattice_kernel, output_lattice
 
 # A rectification keeps at most six float64 M x K arrays' worth alive (tracemalloc, K = 4
-# to 64, cold or warm plan cache). With K = 64: 2.2 while the plan cache builds a kernel
-# (the kernel and its squared distances), 0.34 once it is cached, 0.11 for a kernel over
-# the cache budget, whose rows build_sampling_grid builds block by block. With K = 4, the
+# to 64, cold or warm plan cache). With K = 64: 2.2 while lattice_kernel builds a kernel
+# (the kernel and its squared distances), 0.34 once it is cached, 0.11 when lattice_kernel
+# keeps none and build_sampling_grid builds the kernel rows block by block. With K = 4, the
 # smallest solvable lattice, 5.8 at 32x256: the per-location arrays weigh a quarter M x K
 # each. M x K is capped to hold six under 4 GiB: 89_478_485 entries, e.g. a 1280x960 output
-# with the default 64 control points. The plan cache itself retains at most
-# tps.PLAN_CACHE_BYTES.
+# with the default 64 control points.
 SAMPLING_PEAK_BYTES = 4 << 30
 MXK_ARRAYS_AT_PEAK = 6
 MAX_KERNEL_ENTRIES = SAMPLING_PEAK_BYTES // (8 * MXK_ARRAYS_AT_PEAK)
@@ -127,7 +126,7 @@ def build_sampling_grid(transform, attention, out_h, out_w, *, rows=None):
     lattice = output_lattice(out_h, out_w)
     centers, t = transform.centers, transform.t_matrix
     # kernel rows come from the plan cache when it keeps the kernel, else are built per block
-    kernel = lattice_kernel(centers, out_h, out_w) if plan_keeps(8 * m * k) else None
+    kernel = lattice_kernel(centers, out_h, out_w)
     lam, beta = transform.lam, transform.beta
     # every block has the same row count, the last one overlapping its predecessor: a
     # shorter block takes another BLAS path and moves the coordinates' last bits

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from tpspp import fileio, network, synth
 from tpspp.cli import main
+from tpspp.errors import ShapeError
+from tpspp.rectify import rectify_with_network
 from tpspp.tps import make_grid
 from tpspp.warp import AttentionMatrix
 
@@ -202,6 +204,21 @@ class TestRectify:
         assert code == 2
         assert not out.exists()
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("name", sorted(network.WEIGHT_MANIFEST))
+    def test_misshaped_weight_exit_2(self, tmp_path, stripe, name):
+        tensors = dict(network.init_weights(0).items())
+        tensors[name] = np.zeros(tuple(n + 1 for n in tensors[name].shape), np.float32)
+        weights = network.WeightStore(tensors)
+        with pytest.raises(ShapeError):
+            rectify_with_network(fileio.load_image(stripe), weights, make_grid(4, 16),
+                                 0.5, 1.0, 32, 128)
+        wpath = tmp_path / "w.tpsw"
+        fileio.save_weights(weights, wpath)
+        out = tmp_path / "out.pgm"
+        assert run("rectify", "--image", str(stripe), "--weights", str(wpath), "--out", str(out),
+                   "--overlay") == 2
+        assert not list(tmp_path.glob("out*"))
 
     def test_too_many_control_points_exit_2(self, tmp_path, stripe):
         pts = tmp_path / "pts.json"

@@ -288,17 +288,22 @@ class TestLatticePlan:
         # least recently used out first: (1, 64), (4, 16) and (2, 32) remain
         assert [key[2:] for key in cache._arrays] == [(2, 32), (4, 16), (1, 64)]
 
-    def test_over_budget_plan_used_not_retained(self, monkeypatch):
-        cache = tps._PlanCache(8 * 64 * 64)
+    def test_over_budget_kernel_not_built(self, monkeypatch):
+        cache = tps._PlanCache(8 * (64 + 67) * 64)  # an 8x8 kernel beside its 67x64 inverse
         monkeypatch.setattr(tps, "_PLANS", cache)
         g = tps.make_grid(4, 16)
         small = tps.lattice_kernel(g.base, 8, 8)
-        big = tps.lattice_kernel(g.base, 16, 16)
-        assert np.array_equal(big, tps.kernel_between(tps.output_lattice(16, 16), g.base))
-        assert not big.flags.writeable
-        assert tps.lattice_kernel(g.base, 16, 16) is not big
+        builds = []
+        monkeypatch.setattr(tps, "kernel_between", lambda *args: builds.append(1))
+        assert tps.lattice_kernel(g.base, 8, 9) is None
+        assert tps.lattice_kernel(g.base, 16, 16) is None
+        assert builds == []
         assert tps.lattice_kernel(g.base, 8, 8) is small
         assert cache.nbytes == small.nbytes
+
+    def test_inverse_at_max_control_points_fits(self):
+        k = tps.MAX_CONTROL_POINTS
+        assert 8 * (k + 3) * k <= tps.PLAN_CACHE_BYTES
 
     def test_singular_lattice_raises_every_call(self, plans, solves):
         for n in range(1, 4):
@@ -308,7 +313,7 @@ class TestLatticePlan:
         assert plans.nbytes == 0 and not plans._arrays
 
     def test_concurrent_lookups_keep_the_count(self, monkeypatch):
-        cache = tps._PlanCache(2 * 8 * 64 * 64)
+        cache = tps._PlanCache(2 * 8 * (64 + 67) * 64)  # two 64-location kernels beside inverses
         monkeypatch.setattr(tps, "_PLANS", cache)
         g = tps.make_grid(4, 16)
         lattices = [(8, 8), (4, 16), (16, 4), (2, 32), (32, 2)]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tpspp import tps
+from tpspp import tensor, tps
 from tpspp.network import DecodedAttention
 from tpspp.errors import DegenerateGridError, ShapeError, ValidationError
 from tpspp.oracles import ClassicTps, bilinear_sample_scalar
@@ -202,6 +202,19 @@ class TestBuildSamplingGrid:
         # at a time and never kept, so the peak is the per-location arrays (0.11)
         cold, warm = self.peaks_in_mk_arrays(monkeypatch, 4, 16, 480, 640)
         assert max(cold, warm) < 0.25
+        assert [key[0] for key in tps._PLANS._arrays] == ["inverse"]
+
+    def test_kernel_kept_only_beside_its_inverse(self, monkeypatch):
+        # a 256x256 kernel with K = 64 is exactly the plan budget: keeping it would evict the
+        # inverse, and the next request's inverse would evict the kernel
+        monkeypatch.setattr(tps, "_PLANS", tps._PlanCache(tps.PLAN_CACHE_BYTES))
+        g = tps.make_grid(4, 16)
+        rectify_map(np.zeros((1, 4, 4)), g, None, 0.5, 1.0, 256, 256)
+        solves = []
+        real = tensor.solve_linear
+        monkeypatch.setattr(tensor, "solve_linear", lambda *args: solves.append(1) or real(*args))
+        rectify_map(np.zeros((1, 4, 4)), g, None, 0.5, 1.0, 256, 256)
+        assert solves == []
         assert [key[0] for key in tps._PLANS._arrays] == ["inverse"]
 
     def test_peak_memory_at_four_control_points(self, monkeypatch):

@@ -14,8 +14,10 @@ The set covers the paper's full path and the network-free one:
   with null and decoded scores, under both borders;
 - `rectify_map` where the sampling grid's blocks of locations end mid-lattice:
   17x63 and 65x257 with 4x16 control points, 33x100 with 2x2 and 8x16, each
-  with null, decoded and per-location scores, and 480x640 with 4x16, whose
-  kernel is over the plan cache budget and built block by block.
+  with null, decoded and per-location scores, and with 4x16, null and decoded
+  scores, 480x640, whose kernel is over the plan cache budget, and 256x256 and
+  128x512, whose kernels fit the budget alone but not beside their lattice's
+  inverse: all three are built block by block.
 Each digest covers the array's dtype and shape as well as its bytes.
 """
 
@@ -78,7 +80,8 @@ def block_edge_outputs():
     rng = np.random.default_rng(11)
     source = rng.standard_normal((4, 16, 64)).astype(np.float32)
     for (rows, cols), out_h, out_w in [((4, 16), 17, 63), ((4, 16), 65, 257), ((2, 2), 33, 100),
-                                       ((8, 16), 33, 100), ((4, 16), 480, 640)]:
+                                       ((8, 16), 33, 100), ((4, 16), 480, 640),
+                                       ((4, 16), 256, 256), ((4, 16), 128, 512)]:
         grid = tps.make_grid(rows, cols)
         grid = grid.with_offsets(rng.uniform(-0.1, 0.1, grid.base.shape))
         scores = {"null": None,
