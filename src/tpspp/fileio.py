@@ -179,19 +179,28 @@ def export_grid_json(grid, attention, path, lam=0.5, beta=1.0):
         json.dump(doc, fh)
 
 
+def _number_array(value, field):
+    """`value` as a float64 array, from JSON numbers only: strings and booleans raise."""
+    arr = np.asarray(value)
+    if arr.dtype.kind in "USb" or (arr.dtype.kind == "O"
+                                   and any(type(v) not in (int, float) for v in arr.flat)):
+        raise ValidationError(f"{field} must hold JSON numbers, got {arr.dtype} entries")
+    return arr.astype(np.float64, copy=False)  # copies only an object array: ints wider than int64
+
+
 def import_grid_json(path):
     """Load and validate (grid, attention, lambda, beta) from JSON.
 
     attention is None when the file stores null (treated as all-zero by
     callers choosing their own output lattice).
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"points file is not UTF-8 text: {exc}") from exc
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
-        raise FormatError(f"invalid JSON: {exc}") from exc
+    from pydantic_core import from_json  # here: it imports asyncio, which only this reader needs
+
+    with open(path, "rb") as fh:
+        try:
+            doc = from_json(fh.read())  # the bytes are freed here, before the arrays are built
+        except ValueError as exc:  # invalid JSON or UTF-8, or nesting past the parser's depth limit
+            raise FormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValidationError(f"points file must hold a JSON object, not {type(doc).__name__}")
     for field in ("rows", "cols", "base", "offsets", "lambda", "beta", "attention"):
@@ -201,11 +210,15 @@ def import_grid_json(path):
     if type(rows) is not int or type(cols) is not int:  # bool is an int subclass
         raise ValidationError("grid extents must be JSON integers, got "
                               f"{type(rows).__name__} and {type(cols).__name__}")
+    lam, beta = doc["lambda"], doc["beta"]
+    if type(lam) not in (int, float) or type(beta) not in (int, float):
+        raise ValidationError("lambda and beta must be JSON numbers, got "
+                              f"{type(lam).__name__} and {type(beta).__name__}")
     try:
-        base = np.asarray(doc["base"], dtype=np.float64)
-        offsets = np.asarray(doc["offsets"], dtype=np.float64)
-        lam, beta = float(doc["lambda"]), float(doc["beta"])
-        scores = None if doc["attention"] is None else np.asarray(doc["attention"], dtype=np.float64)
+        base = _number_array(doc["base"], "base")
+        offsets = _number_array(doc["offsets"], "offsets")
+        lam, beta = float(lam), float(beta)
+        scores = None if doc["attention"] is None else _number_array(doc["attention"], "attention")
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed points field: {exc}") from exc
     if rows < 1 or cols < 1 or rows * cols < 2:

@@ -1,4 +1,5 @@
 import json
+import struct
 import tracemalloc
 import warnings
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from pydantic_core import from_json
 
 from tpspp import fileio, network, synth
 from tpspp.cli import main
@@ -267,6 +269,23 @@ JSON_VALUES = st.recursive(
                                                                 max_size=3),
     max_leaves=12)
 POINTS_FIELDS = ("rows", "cols", "base", "offsets", "lambda", "beta", "attention")
+
+
+def _typed(value):
+    """`value` with every scalar tagged by its type and every float replaced by its bytes."""
+    if isinstance(value, list):
+        return [_typed(v) for v in value]
+    if isinstance(value, dict):
+        return [(k, _typed(v)) for k, v in value.items()]
+    return type(value).__name__, struct.pack("<d", value) if type(value) is float else value
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=JSON_VALUES, ensure_ascii=st.booleans())
+def test_points_parser_matches_json(value, ensure_ascii):
+    # fileio reads points files with pydantic_core, which must give what Python's json gives
+    text = json.dumps(value, ensure_ascii=ensure_ascii)
+    assert _typed(from_json(text.encode())) == _typed(json.loads(text))
 
 
 @pytest.fixture(scope="module")

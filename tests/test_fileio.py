@@ -1,5 +1,9 @@
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -230,6 +234,26 @@ MALFORMED_POINTS = [
     pytest.param(b"null", ValidationError, id="top-level-null"),
     pytest.param(b'{"rows": "\xff\xfe"}', FormatError, id="non-utf8"),
     pytest.param(b"[" * 100000 + b"]" * 100000, FormatError, id="nesting-too-deep"),
+    # numeric fields hold JSON numbers only: strings and booleans are not parsed into them
+    pytest.param(_points_doc(**{"lambda": "0.5"}), ValidationError, id="lambda-digits"),
+    pytest.param(_points_doc(beta="1e3"), ValidationError, id="beta-digits"),
+    pytest.param(_points_doc(**{"lambda": True}), ValidationError, id="lambda-bool"),
+    pytest.param(_points_doc(offsets=[["0.01", "0.0"]] * 4), ValidationError,
+                 id="offsets-digits"),
+    # integers wider than int64 give an object array, whose entries are checked one by one
+    pytest.param(_points_doc(offsets=[[10**30, "0.5"]] + [[0, 0]] * 3), ValidationError,
+                 id="offsets-wide-int-and-digits"),
+    pytest.param(_points_doc(base=[[repr(x) for x in row] for row in make_grid(2, 2).base.tolist()]),
+                 ValidationError, id="base-digits"),
+    # 24 rows: the CLI tests' 4x6 output lattice, where numeric scores would be accepted
+    pytest.param(_points_doc(attention=[["0.5"] * 4] * 24), ValidationError, id="attention-digits"),
+    pytest.param(_points_doc().replace(b'"offsets": [[0.0', b'"offsets": [[1e400'),
+                 ValidationError, id="offsets-1e400"),
+    pytest.param(_points_doc(attention=[[0.25] * 4] * 24).split(b"], [0.25")[0], FormatError,
+                 id="cut-mid-attention"),
+    pytest.param(b"\xef\xbb\xbf" + _points_doc(), FormatError, id="utf8-bom"),
+    # a lone surrogate is no Unicode text; Python's json accepted it in a key
+    pytest.param(_points_doc(**{"\ud800": 0}), FormatError, id="lone-surrogate-key"),
 ]
 
 
@@ -294,6 +318,13 @@ class TestGridJson:
         with pytest.raises(FormatError):
             fileio.import_grid_json(p)
 
+    def test_integer_wider_than_int64_converts(self, tmp_path):
+        p = tmp_path / "g.json"
+        p.write_bytes(_points_doc(offsets=[[10**30, 0], [0, 0], [0, 0], [0, 0]],
+                                  **{"lambda": 10**30}))
+        grid, _, lam, _ = fileio.import_grid_json(p)
+        assert grid.offsets[0, 0] == 1e30 and lam == 1e30
+
     @pytest.mark.parametrize("blob, error", MALFORMED_POINTS)
     def test_malformed_points_typed_error(self, tmp_path, blob, error):
         p = tmp_path / "g.json"
@@ -309,3 +340,12 @@ class TestGridJson:
         assert main(["rectify", "--image", str(image), "--points", str(points),
                      "--out", str(tmp_path / "o.pgm")]) == 2
         assert not (tmp_path / "o.pgm").exists()
+
+
+def test_import_leaves_json_parser_unloaded():
+    # the parser pulls in asyncio, so importing it with the package would slow every set-up
+    code = "import sys, tpspp, tpspp.cli; print('pydantic_core' in sys.modules)"
+    src = str(Path(fileio.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert out.stdout.strip() == "False"

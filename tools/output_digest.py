@@ -17,19 +17,23 @@ The set covers the paper's full path and the network-free one:
   with null, decoded and per-location scores, and with 4x16, null and decoded
   scores, 480x640, whose kernel is over the plan cache budget, and 256x256 and
   128x512, whose kernels fit the budget alone but not beside their lattice's
-  inverse: all three are built block by block.
+  inverse: all three are built block by block;
+- `fileio.import_grid_json` on a seeded points file with a 4096x64 attention
+  matrix, written by `export_grid_json`: the parsed offsets, scores, lambda
+  and beta.
 Each digest covers the array's dtype and shape as well as its bytes.
 """
 
 import hashlib
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np  # noqa: E402
 
-from tpspp import network, rectify, synth, tps  # noqa: E402
+from tpspp import fileio, network, rectify, synth, tps  # noqa: E402
 from tpspp.warp import AttentionMatrix  # noqa: E402
 
 LAM, BETA = 0.5, 1.0
@@ -95,8 +99,24 @@ def block_edge_outputs():
             yield f"{name}.coords", sampling.coords
 
 
+def points_outputs():
+    rng = np.random.default_rng(13)
+    grid = tps.make_grid(4, 16)
+    grid = grid.with_offsets(rng.uniform(-0.1, 0.1, grid.base.shape))
+    attention = AttentionMatrix(rng.uniform(-0.9, 0.9, (4096, grid.k)))
+    lam, beta = rng.uniform(0.0, 1.0), rng.uniform(0.5, 2.0)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "points.json"
+        fileio.export_grid_json(grid, attention, path, lam=lam, beta=beta)
+        parsed, scores, lam, beta = fileio.import_grid_json(path)
+    yield "points.offsets", parsed.offsets
+    yield "points.scores", scores.scores
+    yield "points.lambda", np.float64(lam)
+    yield "points.beta", np.float64(beta)
+
+
 def main():
-    for outputs in (network_outputs(), map_outputs(), block_edge_outputs()):
+    for outputs in (network_outputs(), map_outputs(), block_edge_outputs(), points_outputs()):
         for name, array in outputs:
             print(name, digest(array))
 
