@@ -29,6 +29,10 @@ MAX_KERNEL_ENTRIES = SAMPLING_PEAK_BYTES // (8 * MXK_ARRAYS_AT_PEAK)
 # in L2, e.g. 1024 output locations of a 64-channel map or of 64 control points
 WARP_BLOCK_ENTRIES = 1 << 16
 
+# warp computes the bilinear setup of this many output locations at once, eleven float64 or
+# int64 arrays of 128 KiB, and frees it before the next chunk
+WARP_CHUNK_LOCATIONS = 1 << 14
+
 
 @dataclass(frozen=True)
 class AttentionMatrix:
@@ -158,14 +162,25 @@ def warp(source, grid, border="zeros"):
 
     border="zeros": the frame is zeros, so out-of-range neighbors contribute 0;
     border="clamp": the frame repeats the edge; coordinates are clipped to the valid box first.
-    The framed map is a channels-last (pixels, C) table, and output locations are sampled
-    in blocks of WARP_BLOCK_ENTRIES // C, so each gathered block stays cache-sized.
+    The source must hold finite integer or real floating values. The framed map is a
+    channels-last (pixels, C) table. Output locations are walked in chunks of
+    WARP_CHUNK_LOCATIONS, whose per-location setup (corner index, four weights) is computed
+    once and freed before the next chunk; each chunk is gathered in blocks of
+    WARP_BLOCK_ENTRIES // C locations into two reused (block, C) buffers, so the working
+    set stays cache-sized and memory bounded whatever the output size. The result is a
+    strided (C, H, W) view of a channels-last (H*W, C) array.
     """
     source = np.asarray(source)
-    if source.ndim != 3 or source.shape[1] < 1 or source.shape[2] < 1:
-        raise ShapeError(f"warp expects a (C,H,W) source with H, W >= 1, got {source.shape}")
+    if source.ndim != 3 or min(source.shape) < 1:
+        raise ShapeError(f"warp expects a (C,H,W) source with C, H, W >= 1, got {source.shape}")
     if border not in ("zeros", "clamp"):
         raise ValidationError(f"unknown border policy {border!r}")
+    if source.dtype.kind not in "iuf":
+        raise ValidationError(f"warp samples integer or real floating maps, not {source.dtype}")
+    finite = np.isfinite(source)
+    if not finite.all():
+        ch, y, x = np.argwhere(~finite)[0]
+        raise ValidationError(f"source is not finite at channel {ch}, row {y}, col {x}")
     c, h, w = source.shape
     # with zeros, a coordinate a pixel or more outside reads nothing but zeros, so clipping
     # it to one pixel outside changes no output and keeps huge ones clear of the int64 cast
@@ -173,26 +188,39 @@ def warp(source, grid, border="zeros"):
     framed = np.pad(source.astype(np.float64).transpose(1, 2, 0), ((1, 1), (1, 1), (0, 0)),
                     mode="edge" if border == "clamp" else "constant").reshape(-1, c)
     m = grid.coords.shape[0]
-    out = np.empty((c, m), dtype=source.dtype)
-    step = max(1, WARP_BLOCK_ENTRIES // c)
-    for start in range(0, m, step):
-        block = grid.coords[start:start + step]
-        with np.errstate(over="ignore"):
-            xs = (block[:, 0] + 1.0) / 2.0 * (w - 1)
-            ys = (block[:, 1] + 1.0) / 2.0 * (h - 1)
-        np.clip(xs, lo, w - 1 - lo, out=xs)
-        np.clip(ys, lo, h - 1 - lo, out=ys)
-        # capped so a coordinate on pixel w (or h) reads its far neighbor, weight 1, from the frame
-        x0 = np.minimum(np.floor(xs), w - 1)
-        y0 = np.minimum(np.floor(ys), h - 1)
-        fx = xs - x0
-        fy = ys - y0
-        corner = ((y0 + 1.0) * (w + 2) + (x0 + 1.0)).astype(np.int64)  # flat index of (y0, x0)
-        acc = np.zeros((len(block), c), dtype=np.float64)
-        for offset, wgt in ((0, (1.0 - fx) * (1.0 - fy)), (1, fx * (1.0 - fy)),
-                            (w + 2, (1.0 - fx) * fy), (w + 3, fx * fy)):
-            neighbor = np.take(framed, corner + offset, axis=0)
-            neighbor *= wgt[:, None]
-            acc += neighbor
-        out[:, start:start + step] = acc.T
-    return out.reshape(c, grid.height, grid.width)
+    out = np.empty((m, c), dtype=source.dtype)
+    step = min(max(1, WARP_BLOCK_ENTRIES // c), WARP_CHUNK_LOCATIONS, m)
+    gathered, acc = np.empty((step, c)), np.empty((step, c))
+    for start in range(0, m, WARP_CHUNK_LOCATIONS):
+        chunk = slice(start, start + WARP_CHUNK_LOCATIONS)
+        _warp_chunk(framed, grid.coords[chunk], out[chunk], h, w, lo, gathered, acc)
+    return out.T.reshape(c, grid.height, grid.width)
+
+
+def _warp_chunk(framed, coords, out, h, w, lo, gathered, acc):
+    """Sample the framed (pixels, C) table at `coords` into the rows of `out`."""
+    with np.errstate(over="ignore"):
+        xs = (coords[:, 0] + 1.0) / 2.0 * (w - 1)
+        ys = (coords[:, 1] + 1.0) / 2.0 * (h - 1)
+    np.clip(xs, lo, w - 1 - lo, out=xs)
+    np.clip(ys, lo, h - 1 - lo, out=ys)
+    # capped so a coordinate on pixel w (or h) reads its far neighbor, weight 1, from the frame
+    x0 = np.minimum(np.floor(xs), w - 1)
+    y0 = np.minimum(np.floor(ys), h - 1)
+    fx = xs - x0
+    fy = ys - y0
+    corner = ((y0 + 1.0) * (w + 2) + (x0 + 1.0)).astype(np.int64)  # flat index of (y0, x0)
+    # the table from a neighbor's offset on holds that neighbor at the corner's index, which
+    # is in range by construction, so mode="clip" never clips: it only skips numpy's buffering
+    neighbors = [(framed[offset:], wgt) for offset, wgt in (
+        (0, (1.0 - fx) * (1.0 - fy)), (1, fx * (1.0 - fy)),
+        (w + 2, (1.0 - fx) * fy), (w + 3, fx * fy))]
+    for start in range(0, len(coords), len(acc)):
+        n = min(len(acc), len(coords) - start)
+        rows = slice(start, start + n)
+        acc[:n] = 0.0
+        for table, wgt in neighbors:
+            np.take(table, corner[rows], axis=0, out=gathered[:n], mode="clip")
+            gathered[:n] *= wgt[rows, None]
+            acc[:n] += gathered[:n]
+        out[rows] = acc[:n]

@@ -14,8 +14,8 @@ from tpspp.oracles import ClassicTps, bilinear_sample_scalar
 from tpspp.rectify import (annotate_points, attention_for_lattice, deformation_grid_image,
                             rectify_map)
 from tpspp.warp import (MAX_KERNEL_ENTRIES, MXK_ARRAYS_AT_PEAK, WARP_BLOCK_ENTRIES,
-                        AttentionMatrix, SamplingGrid, basis_vector, build_sampling_grid,
-                        check_lattice, map_point, output_lattice, warp)
+                        WARP_CHUNK_LOCATIONS, AttentionMatrix, SamplingGrid, basis_vector,
+                        build_sampling_grid, check_lattice, map_point, output_lattice, warp)
 
 
 def random_transform(seed, rows=4, cols=16, lam=0.5, beta=1.0):
@@ -332,10 +332,25 @@ class TestWarp:
         with pytest.raises(DegenerateGridError):
             SamplingGrid(1, 2, np.array([[0.0, 0.0], [0.5, bad]]))
 
-    @pytest.mark.parametrize("shape", [(4, 4), (1, 0, 4), (1, 4, 0)])
+    @pytest.mark.parametrize("shape", [(4, 4), (1, 0, 4), (1, 4, 0), (0, 4, 4)])
     def test_source_shape_checked(self, shape):
         with pytest.raises(ShapeError):
             warp(np.zeros(shape, np.float32), SamplingGrid(1, 1, np.zeros((1, 2))))
+
+    @pytest.mark.parametrize("src", [np.ones((1, 2, 2), bool), np.ones((1, 2, 2), complex),
+                                     np.full((1, 2, 2), "1"), np.ones((1, 2, 2), object)])
+    def test_source_dtype_checked(self, src):
+        with pytest.raises(ValidationError, match="integer or real floating"):
+            warp(src, SamplingGrid(1, 1, np.zeros((1, 2))))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_source_rejected(self, bad):
+        src = np.zeros((2, 3, 4), np.float32)
+        src[1, 2, 3] = bad
+        with pytest.raises(ValidationError, match="channel 1, row 2, col 3"):
+            warp(src, SamplingGrid(1, 1, np.zeros((1, 2))))
+        with pytest.raises(ValidationError):
+            rectify_map(src, tps.make_grid(2, 2), None, 0.5, 1.0, 3, 4)
 
     def test_unknown_border(self):
         src = np.zeros((1, 2, 2), dtype=np.float32)
@@ -355,13 +370,26 @@ class TestWarp:
         assert got.dtype == src.dtype
         assert got.tobytes() == np.concatenate(alone, axis=2).tobytes()
 
+    @pytest.mark.parametrize("border", ["zeros", "clamp"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.uint8])
+    def test_chunk_boundaries_invisible(self, border, dtype):
+        rng = np.random.default_rng(17)
+        src = rng.uniform(0, 255, (64, 9, 13)).astype(dtype)
+        coords = rng.uniform(-1.3, 1.3, (2 * WARP_CHUNK_LOCATIONS + 1500, 2))
+        got = warp(src, SamplingGrid(1, len(coords), coords), border=border)
+        cuts = [0, 1, 777, WARP_CHUNK_LOCATIONS + 5, 2 * WARP_CHUNK_LOCATIONS - 3, len(coords)]
+        parts = [warp(src, SamplingGrid(1, b - a, coords[a:b]), border=border)
+                 for a, b in zip(cuts, cuts[1:])]
+        assert got.tobytes() == np.concatenate(parts, axis=2).tobytes()
+
     def test_memory_bounded_by_block(self):
-        # beside its output, the warp holds the float64 source, its framed copy and a few
-        # blocks of WARP_BLOCK_ENTRIES: about 2.3 MB here, whatever the number of locations
+        # beside its output, the warp holds the float64 source, its framed copy, two blocks
+        # of WARP_BLOCK_ENTRIES and one chunk's setup: about 3.2 MB here, whatever the number
+        # of locations
         rng = np.random.default_rng(16)
         src = rng.standard_normal((64, 16, 64)).astype(np.float32)
         extra = []
-        for h, w in ((64, 256), (128, 256)):
+        for h, w in ((64, 256), (128, 256), (256, 256)):
             grid = SamplingGrid(h, w, rng.uniform(-1.1, 1.1, (h * w, 2)))
             tracemalloc.start()
             try:
@@ -370,7 +398,7 @@ class TestWarp:
             finally:
                 tracemalloc.stop()
         assert max(extra) < 4 << 20
-        assert abs(extra[1] - extra[0]) < 1 << 16
+        assert max(extra) - min(extra) < 1 << 16
 
 
 def _axis_coordinate(n):

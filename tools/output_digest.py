@@ -10,8 +10,9 @@ comparing them takes one diff:
 The set covers the paper's full path and the network-free one:
 - `rectify_with_network` with `init_weights(3)` and a seeded nonzero
   `aipe.offset2`, on stripe images at out-sizes 32x128, 16x64, 32x32, 8x128;
-- `rectify_map` on a 64-channel float32 map at 16x64, 32x128 and 64x256,
-  with null and decoded scores, under both borders;
+- `rectify_map` on a 64-channel float32 map at 16x64, 32x128, 64x256 and
+  65x257, whose warp ends one chunk of locations into a partial block, with
+  null and decoded scores, under both borders;
 - `rectify_map` where the sampling grid's blocks of locations end mid-lattice:
   17x63 and 65x257 with 4x16 control points, 33x100 with 2x2 and 8x16, each
   with null, decoded and per-location scores, and with 4x16, null and decoded
@@ -70,7 +71,7 @@ def map_outputs():
     grid = tps.make_grid(4, 16)
     grid = grid.with_offsets(rng.uniform(-0.1, 0.1, grid.base.shape))
     decoded = network.DecodedAttention(rng.uniform(-0.9, 0.9, (network.DEC_H * network.DEC_W, grid.k)))
-    for out_h, out_w in [(16, 64), (32, 128), (64, 256)]:
+    for out_h, out_w in [(16, 64), (32, 128), (64, 256), (65, 257)]:
         for scores, attention in [("null", None), ("decoded", decoded)]:
             for border in ("zeros", "clamp"):
                 warped, sampling = rectify.rectify_map(source, grid, attention, LAM, BETA,
