@@ -221,22 +221,15 @@ def import_grid_json(path):
         scores = None if doc["attention"] is None else _number_array(doc["attention"], "attention")
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed points field: {exc}") from exc
-    if rows < 1 or cols < 1 or rows * cols < 2:
-        raise ValidationError(f"invalid grid extents {rows}x{cols}")
-    k = rows * cols
-    if base.shape != (k, 2):
-        raise ValidationError(f"base shape {base.shape} != ({k}, 2)")
-    if offsets.shape != (k, 2):
-        raise ValidationError(f"offsets shape {offsets.shape} != ({k}, 2)")
+    if base.shape != (rows * cols, 2):
+        raise ValidationError(f"base shape {base.shape} != ({rows * cols}, 2)")
     grid = make_grid(rows, cols)
     if not np.all(np.abs(base - grid.base) <= 1e-9):  # False for NaN too
         raise ValidationError("base points do not form the uniform [-1,1] lattice")
-    if not np.all(np.isfinite(offsets)):
-        raise ValidationError("offsets contain non-finite values")
 
     attention = None
     if scores is not None:
-        if scores.ndim != 2 or scores.shape[1] != k:
-            raise ValidationError(f"attention shape {scores.shape} incompatible with K={k}")
+        if scores.ndim != 2 or scores.shape[1] != grid.k:
+            raise ValidationError(f"attention shape {scores.shape} incompatible with K={grid.k}")
         attention = AttentionMatrix(scores)
     return grid.with_offsets(offsets), attention, lam, beta

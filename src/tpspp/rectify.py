@@ -31,7 +31,8 @@ def attention_for_lattice(attention, out_h, out_w):
 def rectify_map(source, grid, attention, lam, beta, out_h, out_w, border="zeros"):
     """Solve the transform for a regressed grid and warp a (C,H,W) map."""
     transform = solve_transform(grid, lam=lam, beta=beta)
-    check_lattice(out_h, out_w, transform.k)  # before attention_for_lattice builds its M rows
+    source = np.asarray(source)  # a (C,H,W) map warps to C * itemsize B per output location
+    check_lattice(out_h, out_w, transform.k, source.itemsize * int(np.prod(source.shape[:-2])))
     rows = attention_for_lattice(attention, out_h, out_w)
     sampling = build_sampling_grid(transform, attention, out_h, out_w, rows=rows)
     return warp(source, sampling, border=border), sampling

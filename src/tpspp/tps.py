@@ -12,6 +12,7 @@ an output lattice per base lattice and extents (`lattice_kernel`). A
 request then only multiplies its regressed points and attention into them.
 """
 
+import operator
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -66,6 +67,8 @@ class ControlPointGrid:
         offsets = np.asarray(offsets, dtype=np.float64)
         if offsets.shape != self.base.shape:
             raise InvalidGridError(f"offsets shape {offsets.shape} != {self.base.shape}")
+        if not np.all(np.isfinite(offsets)):
+            raise ValidationError("offsets contain non-finite values")
         return ControlPointGrid(self.rows, self.cols, self.base, _frozen(offsets))
 
 
@@ -93,6 +96,10 @@ def output_lattice(rows, cols):
 
 def make_grid(rows, cols):
     """Control-point grid on the uniform rows x cols lattice, zero offsets."""
+    try:
+        rows, cols = operator.index(rows), operator.index(cols)
+    except TypeError:
+        raise InvalidGridError(f"grid extents must be integers, got {rows!r}x{cols!r}") from None
     if rows < 1 or cols < 1 or rows * cols < 2:
         raise InvalidGridError(f"grid {rows}x{cols} has fewer than 2 points")
     base = _frozen(output_lattice(rows, cols))

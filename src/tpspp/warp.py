@@ -6,6 +6,7 @@ point k. With lam = 0 (or an all-zero score row and beta = 1) this is
 exactly the classic TPS evaluation.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,16 +14,11 @@ import numpy as np
 from .errors import DegenerateGridError, ShapeError, ValidationError
 from .tps import kernel_between, lattice_kernel, output_lattice
 
-# A rectification keeps at most six float64 M x K arrays' worth alive (tracemalloc, K = 4
-# to 64, cold or warm plan cache). With K = 64: 2.2 while lattice_kernel builds a kernel
-# (the kernel and its squared distances), 0.34 once it is cached, 0.11 when lattice_kernel
-# keeps none and build_sampling_grid builds the kernel rows block by block. With K = 4, the
-# smallest solvable lattice, 5.8 at 32x256: the per-location arrays weigh a quarter M x K
-# each. M x K is capped to hold six under 4 GiB: 89_478_485 entries, e.g. a 1280x960 output
-# with the default 64 control points.
-SAMPLING_PEAK_BYTES = 4 << 30
-MXK_ARRAYS_AT_PEAK = 6
-MAX_KERNEL_ENTRIES = SAMPLING_PEAK_BYTES // (8 * MXK_ARRAYS_AT_PEAK)
+# Work: M * K kernel logs where the plan cache keeps no kernel, 114M/s on a 2.1 GHz Xeon: 0.8 s.
+# Bytes: 43 B per location, rectify_map's tracemalloc peak at K = 4 to 64, plus the output's.
+MAX_KERNEL_ENTRIES = 89_478_485
+LOCATION_BYTES = 48
+MAX_LATTICE_BYTES = 4 << 30
 
 # warp gathers at most this many float64 entries per neighbor at once, and
 # build_sampling_grid scales about as many kernel entries per block: 512 KiB, which stays
@@ -95,17 +91,19 @@ def map_point(p, transform, attention_row):
     return transform.t_matrix @ basis_vector(p, transform, attention_row)
 
 
-def check_lattice(out_h, out_w, k):
-    """Reject output extents below 1 and an M x K kernel above MAX_KERNEL_ENTRIES.
-
-    Called before anything of the output lattice's size is allocated.
-    """
+def check_lattice(out_h, out_w, k, out_bytes=0):
+    """Reject extents not integers >= 1, M * K over MAX_KERNEL_ENTRIES, and M * (LOCATION_BYTES +
+    out_bytes, the warp output's C * itemsize) over MAX_LATTICE_BYTES, before allocating any."""
+    try:
+        m = operator.index(out_h) * operator.index(out_w)
+    except TypeError:
+        raise ValidationError(f"output extents must be integers, got {out_h!r}x{out_w!r}") from None
     if out_h < 1 or out_w < 1:
         raise ValidationError(f"output extents must be >= 1, got {out_h}x{out_w}")
-    if out_h * out_w * k > MAX_KERNEL_ENTRIES:
-        raise ValidationError(
-            f"output {out_h}x{out_w} with K={k} needs {out_h * out_w * k} kernel entries, "
-            f"above the budget of {MAX_KERNEL_ENTRIES}")
+    if m * k > MAX_KERNEL_ENTRIES or m * (LOCATION_BYTES + out_bytes) > MAX_LATTICE_BYTES:
+        raise ValidationError(f"output {out_h}x{out_w} needs {m * k} kernel entries at K={k} and "
+                              f"{m * (LOCATION_BYTES + out_bytes)} B, over the bounds of "
+                              f"{MAX_KERNEL_ENTRIES} entries or {MAX_LATTICE_BYTES} B")
 
 
 def build_sampling_grid(transform, attention, out_h, out_w, *, rows=None):

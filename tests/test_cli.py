@@ -11,7 +11,7 @@ from pydantic_core import from_json
 
 from tpspp import fileio, network, synth
 from tpspp.cli import main
-from tpspp.errors import ShapeError
+from tpspp.errors import ShapeError, ValidationError
 from tpspp.rectify import rectify_with_network
 from tpspp.tps import make_grid
 from tpspp.warp import AttentionMatrix
@@ -206,6 +206,20 @@ class TestRectify:
         assert code == 2
         assert not out.exists()
         assert peak < 1 << 20
+
+    def test_non_finite_regressed_offsets_exit_2(self, tmp_path, stripe):
+        tensors = dict(network.init_weights(0).items())
+        tensors["aipe.offset2.bias"] = np.array([0.0, np.nan], np.float32)
+        weights = network.WeightStore(tensors)
+        with pytest.raises(ValidationError):
+            rectify_with_network(fileio.load_image(stripe), weights, make_grid(4, 16),
+                                 0.5, 1.0, 32, 128)
+        wpath = tmp_path / "w.tpsw"
+        fileio.save_weights(weights, wpath)
+        out = tmp_path / "out.pgm"
+        assert run("rectify", "--image", str(stripe), "--weights", str(wpath), "--out", str(out),
+                   "--overlay") == 2
+        assert not list(tmp_path.glob("out*"))
 
     @pytest.mark.parametrize("name", sorted(network.WEIGHT_MANIFEST))
     def test_misshaped_weight_exit_2(self, tmp_path, stripe, name):

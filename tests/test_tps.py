@@ -43,6 +43,18 @@ class TestMakeGrid:
         with pytest.raises(InvalidGridError):
             tps.make_grid(1, 1)
 
+    @pytest.mark.parametrize("rows, cols", [(4.5, 16), ("4", 16), (None, 16), (4, 16.0)])
+    def test_non_integer_extents_rejected(self, rows, cols):
+        with pytest.raises(InvalidGridError):
+            tps.make_grid(rows, cols)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_offsets_rejected(self, bad):
+        offsets = np.zeros((4, 2))
+        offsets[2, 1] = bad
+        with pytest.raises(ValidationError):
+            tps.make_grid(2, 2).with_offsets(offsets)
+
     @pytest.mark.parametrize("rows, cols", [(1, 2), (1, 7), (3, 1), (2, 3), (4, 16)])
     def test_base_is_output_lattice(self, rows, cols):
         assert np.array_equal(tps.make_grid(rows, cols).base, tps.output_lattice(rows, cols))

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tpspp import tensor, tps
+from tpspp import rectify, tensor, tps
 from tpspp.network import DecodedAttention
 from tpspp.errors import DegenerateGridError, ShapeError, ValidationError
 from tpspp.oracles import ClassicTps, bilinear_sample_scalar
 from tpspp.rectify import (annotate_points, attention_for_lattice, deformation_grid_image,
                             rectify_map)
-from tpspp.warp import (MAX_KERNEL_ENTRIES, MXK_ARRAYS_AT_PEAK, WARP_BLOCK_ENTRIES,
+from tpspp.warp import (LOCATION_BYTES, MAX_KERNEL_ENTRIES, MAX_LATTICE_BYTES, WARP_BLOCK_ENTRIES,
                         WARP_CHUNK_LOCATIONS, AttentionMatrix, SamplingGrid, basis_vector,
                         build_sampling_grid, check_lattice, map_point, output_lattice, warp)
 
@@ -22,6 +22,10 @@ def random_transform(seed, rows=4, cols=16, lam=0.5, beta=1.0):
     rng = np.random.default_rng(seed)
     g = tps.make_grid(rows, cols).with_offsets(rng.uniform(-0.1, 0.1, size=(rows * cols, 2)))
     return g, tps.solve_transform(g, lam=lam, beta=beta)
+
+
+class Admitted(Exception):
+    """Raised by stand-ins for what rectify_map calls once a lattice passes check_lattice."""
 
 
 class TestAttentionMatrix:
@@ -174,35 +178,105 @@ class TestBuildSamplingGrid:
         with pytest.raises(ValidationError):
             check_lattice(100000, 100000, 64)
 
+    @pytest.mark.parametrize("out_h, out_w", [
+        (np.int32(65536), np.int32(65536)),  # the int32 product wraps to 0
+        (4.5, 16), (16, 4.0), ("4", 16), (None, 16), (16, [4])])
+    def test_non_integer_extents_rejected(self, out_h, out_w):
+        g, t = random_transform(19)
+        with pytest.raises(ValidationError):
+            check_lattice(out_h, out_w, t.k)
+        with pytest.raises(ValidationError):
+            rectify_map(np.zeros((1, 4, 4)), g, None, 0.5, 1.0, out_h, out_w)
+
+    def test_numpy_integer_extents_admitted(self):
+        g, _ = random_transform(19)
+        want, _ = rectify_map(np.ones((1, 4, 4)), g, None, 0.5, 1.0, 6, 8)
+        got, _ = rectify_map(np.ones((1, 4, 4)), g, None, 0.5, 1.0, np.int32(6), np.uint8(8))
+        assert got.tobytes() == want.tobytes()
+
+    def test_byte_bound_edge(self):
+        # a 64-channel float32 output at K = 4: the bytes bind long before the kernel work
+        most = MAX_LATTICE_BYTES // (LOCATION_BYTES + 256)
+        assert (most + 1) * 4 <= MAX_KERNEL_ENTRIES
+        check_lattice(most, 1, 4, 256)
+        with pytest.raises(ValidationError):
+            check_lattice(most + 1, 1, 4, 256)
+
     @staticmethod
-    def peaks_in_mk_arrays(monkeypatch, rows, cols, out_h=32, out_w=256):
-        """tracemalloc peaks of a cold-cache then a warm-cache rectify_map with decoded
-        scores, in float64 M x K arrays."""
+    def stop_at_lattice(monkeypatch):
+        """Make rectify_map raise Admitted where it would start on the lattice."""
+        def admitted(*args, **kwargs):
+            raise Admitted
+        monkeypatch.setattr(rectify, "attention_for_lattice", admitted)
+        monkeypatch.setattr(rectify, "build_sampling_grid", admitted)
+
+    def test_output_bytes_rejected_before_allocation(self, monkeypatch):
+        # 22.4M locations of 64 float32 channels: a 5.33 GiB output, under the work bound at K = 4
+        self.stop_at_lattice(monkeypatch)
+        g = tps.make_grid(2, 2)
+        source = np.zeros((64, 4, 4), np.float32)
+        assert 4729 * 4730 * g.k <= MAX_KERNEL_ENTRIES
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError):
+                rectify_map(source, g, None, 0.5, 1.0, 4729, 4730)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rows, cols, out_h, out_w", [(2, 2, 4729, 4730), (4, 16, 1280, 960)])
+    def test_one_channel_lattices_admitted(self, monkeypatch, dtype, rows, cols, out_h, out_w):
+        # the largest lattices under the work bound at K = 4 and K = 64 pass the byte bound too
+        self.stop_at_lattice(monkeypatch)
+        with pytest.raises(Admitted):
+            rectify_map(np.zeros((1, 4, 4), dtype), tps.make_grid(rows, cols), None, 0.5, 1.0,
+                        out_h, out_w)
+
+    @staticmethod
+    def peaks_and_bounds(monkeypatch, rows, cols, out_h, out_w):
+        """tracemalloc peaks of a cold-cache then a warm-cache rectify_map of a 1-channel
+        float64 map with decoded scores, each with its bound, in bytes per output location.
+
+        The bound is LOCATION_BYTES plus the output's 8 B; plus, on a cold build of a kernel
+        the plan cache keeps, that kernel and its squared distances, 16K B; plus, over M, an
+        allowance that does not grow with M: the scores' scaled copy, a block of scaled
+        kernel rows (8 * WARP_BLOCK_ENTRIES) and a chunk-sized array (8 * WARP_CHUNK_LOCATIONS).
+        Below WARP_CHUNK_LOCATIONS locations the warp's chunk setup is M long: at 32x256 with
+        K = 4 the warm peak reaches 98% of its bound.
+        """
         monkeypatch.setattr(tps, "_PLANS", tps._PlanCache(tps.PLAN_CACHE_BYTES))
         g = tps.make_grid(rows, cols)
         att = AttentionMatrix(np.random.default_rng(20).uniform(-0.9, 0.9, (1024, g.k)))
-        peaks = []
-        for _ in ("cold", "warm"):
+        m = out_h * out_w
+        fixed = att.scores.nbytes + 8 * (WARP_BLOCK_ENTRIES + WARP_CHUNK_LOCATIONS)
+        results = []
+        for run in ("cold", "warm"):
             tracemalloc.start()
             try:
                 rectify_map(np.zeros((1, 4, 4)), g, att, 0.5, 1.0, out_h, out_w)
-                peaks.append(tracemalloc.get_traced_memory()[1] / (8 * out_h * out_w * g.k))
+                peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        return peaks
+            kept = any(key[0] == "kernel" for key in tps._PLANS._arrays)
+            kernel = 16 * g.k if run == "cold" and kept else 0
+            results.append((peak / m, LOCATION_BYTES + 8 + kernel + fixed / m))
+        return results
 
     def test_peak_memory_within_budget_model(self, monkeypatch):
-        # with K = 64 the cold build keeps the kernel and its squared distances alive; a warm
-        # plan adds only the per-location arrays and one block of scaled kernel rows (0.34)
-        cold, warm = self.peaks_in_mk_arrays(monkeypatch, 4, 16)
-        assert cold <= 2.5 and warm <= 0.4
+        # kernels the plan cache keeps: 32x256 with K = 64, 480x640 with K = 4
+        for rows, cols, out_h, out_w in [(4, 16, 32, 256), (2, 2, 480, 640)]:
+            for peak, bound in self.peaks_and_bounds(monkeypatch, rows, cols, out_h, out_w):
+                assert peak <= bound
 
     def test_uncached_kernel_built_per_block(self, monkeypatch):
-        # a VGA output's 157 MB kernel is over the plan budget: its rows are built one block
-        # at a time and never kept, so the peak is the per-location arrays (0.11)
-        cold, warm = self.peaks_in_mk_arrays(monkeypatch, 4, 16, 480, 640)
-        assert max(cold, warm) < 0.25
-        assert [key[0] for key in tps._PLANS._arrays] == ["inverse"]
+        # kernels over the plan budget, 157 MB at 480x640 with K = 64 and 39 MB at 960x1280
+        # with K = 4: their rows are built one block at a time and never kept
+        for rows, cols, out_h, out_w in [(4, 16, 480, 640), (2, 2, 960, 1280)]:
+            for peak, bound in self.peaks_and_bounds(monkeypatch, rows, cols, out_h, out_w):
+                assert peak <= bound
+            assert [key[0] for key in tps._PLANS._arrays] == ["inverse"]
 
     def test_kernel_kept_only_beside_its_inverse(self, monkeypatch):
         # a 256x256 kernel with K = 64 is exactly the plan budget: keeping it would evict the
@@ -218,11 +292,10 @@ class TestBuildSamplingGrid:
         assert [key[0] for key in tps._PLANS._arrays] == ["inverse"]
 
     def test_peak_memory_at_four_control_points(self, monkeypatch):
-        # at K = 4, the smallest solvable lattice, the per-location arrays (lattice,
-        # coordinates, score rows, warp) weigh a quarter M x K each: about 5.5 arrays, the
-        # ceiling that MXK_ARRAYS_AT_PEAK is set from
-        cold, warm = self.peaks_in_mk_arrays(monkeypatch, 2, 2)
-        assert max(cold, warm) <= MXK_ARRAYS_AT_PEAK + 0.5
+        # K = 4, the smallest solvable lattice, at 8192 locations: fewer than a warp chunk, so
+        # the warp's setup arrays are M long and set the warm peak
+        for peak, bound in self.peaks_and_bounds(monkeypatch, 2, 2, 32, 256):
+            assert peak <= bound
 
 
 class TestAttentionForLattice:
@@ -268,8 +341,9 @@ class TestAttentionForLattice:
 class TestOverlays:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 1e308, 0.2])  # 0.2: just outside
     def test_points_outside_or_non_finite_skipped(self, bad):
-        g = tps.make_grid(2, 2)
-        g = g.with_offsets(np.array([[0.0, 0.0], [bad, 0.0], [0.0, bad], [0.0, 0.0]]))
+        g = tps.make_grid(2, 2)  # with_offsets rejects non-finite offsets
+        g = tps.ControlPointGrid(2, 2, g.base, np.array([[0.0, 0.0], [bad, 0.0], [0.0, bad],
+                                                          [0.0, 0.0]]))
         img = annotate_points(np.zeros((1, 9, 9), np.float32), g)
         want = np.zeros((9, 9), np.float32)
         want[:2, :2] = want[7:, 7:] = 1.0  # corner markers of points 0 and 3 only
