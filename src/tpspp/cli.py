@@ -64,16 +64,13 @@ def cmd_rectify(args):
         out, sampling = rectify_map(image, grid, attention, lam, beta,
                                     out_h, out_w, border=args.border)
     else:
-        rows, cols = grid_shape or (DEFAULT_ROWS, DEFAULT_COLS)
-        # the offset head regresses one point per encoded location; checked before make_grid
-        if rows * cols != network.ENC_H * network.ENC_W:
-            raise ValidationError(f"--grid {rows}x{cols} has {rows * cols} points, the network "
-                                  f"regresses {network.ENC_H * network.ENC_W}")
+        grid = make_grid(*(grid_shape or (DEFAULT_ROWS, DEFAULT_COLS)))
+        network.check_control_points(grid)  # before the weights are read
         lam = DEFAULT_LAMBDA if args.lam is None else args.lam
         beta = DEFAULT_BETA if args.beta is None else args.beta
         weights = fileio.load_weights(args.weights)
         out, sampling, grid, _ = rectify_with_network(
-            image, weights, make_grid(rows, cols), lam, beta, out_h, out_w, border=args.border)
+            image, weights, grid, lam, beta, out_h, out_w, border=args.border)
 
     fileio.save_image(np.clip(out, 0.0, 1.0), args.out)
     if args.overlay:

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import DuplicateEntryError, FormatError, TruncationError, ValidationError
 from .network import WeightStore
+from .tensor import real_array, real_scalar
 from .tps import make_grid
 from .warp import AttentionMatrix
 
@@ -179,15 +180,6 @@ def export_grid_json(grid, attention, path, lam=0.5, beta=1.0):
         json.dump(doc, fh)
 
 
-def _number_array(value, field):
-    """`value` as a float64 array, from JSON numbers only: strings and booleans raise."""
-    arr = np.asarray(value)
-    if arr.dtype.kind in "USb" or (arr.dtype.kind == "O"
-                                   and any(type(v) not in (int, float) for v in arr.flat)):
-        raise ValidationError(f"{field} must hold JSON numbers, got {arr.dtype} entries")
-    return arr.astype(np.float64, copy=False)  # copies only an object array: ints wider than int64
-
-
 def import_grid_json(path):
     """Load and validate (grid, attention, lambda, beta) from JSON.
 
@@ -210,17 +202,10 @@ def import_grid_json(path):
     if type(rows) is not int or type(cols) is not int:  # bool is an int subclass
         raise ValidationError("grid extents must be JSON integers, got "
                               f"{type(rows).__name__} and {type(cols).__name__}")
-    lam, beta = doc["lambda"], doc["beta"]
-    if type(lam) not in (int, float) or type(beta) not in (int, float):
-        raise ValidationError("lambda and beta must be JSON numbers, got "
-                              f"{type(lam).__name__} and {type(beta).__name__}")
-    try:
-        base = _number_array(doc["base"], "base")
-        offsets = _number_array(doc["offsets"], "offsets")
-        lam, beta = float(lam), float(beta)
-        scores = None if doc["attention"] is None else _number_array(doc["attention"], "attention")
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"malformed points field: {exc}") from exc
+    base = real_array(doc["base"], "base")
+    offsets = real_array(doc["offsets"], "offsets")
+    lam, beta = real_scalar(doc["lambda"], "lambda"), real_scalar(doc["beta"], "beta")
+    scores = None if doc["attention"] is None else real_array(doc["attention"], "attention")
     if base.shape != (rows * cols, 2):
         raise ValidationError(f"base shape {base.shape} != ({rows * cols}, 2)")
     grid = make_grid(rows, cols)

@@ -37,7 +37,8 @@ class WeightStore:
     def __init__(self, tensors):
         store = {}
         for name, arr in tensors.items():
-            arr = np.ascontiguousarray(arr, dtype=np.float32)
+            with np.errstate(over="ignore"):  # past float32's range is inf, as in the forward
+                arr = np.ascontiguousarray(tensor.real_array(arr, name), dtype=np.float32)
             arr.flags.writeable = False
             store[name] = arr
         self._tensors = store
@@ -171,7 +172,7 @@ def toy_backbone(image, w):
     Stage strides 1, 2, 1 with 3x3 kernels and pad 1 give channel counts
     (32, 64, 96) at spatial extents (32x128, 16x64, 16x64).
     """
-    image = np.asarray(image)
+    image = tensor.real_array(image, "image")
     if image.shape != (1, INPUT_H, INPUT_W):
         raise ShapeError(f"expected (1, {INPUT_H}, {INPUT_W}) input, got {image.shape}")
     f1 = _conv(image, w, "backbone.conv1", stride=1, pad=1)
@@ -270,10 +271,15 @@ def dgab_forward(pair, w):
     return (merged * f_d).astype(f_d.dtype)
 
 
-def aipe_forward(pair, w, grid):
-    """Predict control-point offsets and the attention score matrix."""
+def check_control_points(grid):
+    """ShapeError unless the grid has the ENC_H * ENC_W points the offset head regresses."""
     if grid.k != ENC_H * ENC_W:
         raise ShapeError(f"grid K={grid.k} does not match encoded extent {ENC_H * ENC_W}")
+
+
+def aipe_forward(pair, w, grid):
+    """Predict control-point offsets and the attention score matrix."""
+    check_control_points(grid)
     fe_seq = _encoded_sequence(np.asarray(pair.f_e))  # K x D
 
     h = tensor.relu(_linear(fe_seq, w["aipe.offset1.weight"], w["aipe.offset1.bias"]))
@@ -287,7 +293,10 @@ def aipe_forward(pair, w, grid):
 
 
 def rectification_forward(image, w, grid):
-    """Full chain: backbone, aggregation, parameter estimation."""
-    pair = msfa_forward(toy_backbone(image, w), w)
-    regressed_grid, attention = aipe_forward(pair, w, grid)
+    """Full chain: backbone, aggregation, parameter estimation; the grid's K is checked first.
+    Overflow is not reported: non-finite offsets or scores raise ValidationError instead."""
+    check_control_points(grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pair = msfa_forward(toy_backbone(image, w), w)
+        regressed_grid, attention = aipe_forward(pair, w, grid)
     return pair, regressed_grid, attention

@@ -4,8 +4,9 @@ import numpy as np
 
 from . import network
 from .errors import ValidationError
+from .tensor import real_array
 from .tps import solve_transform
-from .warp import build_sampling_grid, check_lattice, warp
+from .warp import build_sampling_grid, check_lattice, check_source, warp
 
 
 def attention_for_lattice(attention, out_h, out_w):
@@ -31,7 +32,7 @@ def attention_for_lattice(attention, out_h, out_w):
 def rectify_map(source, grid, attention, lam, beta, out_h, out_w, border="zeros"):
     """Solve the transform for a regressed grid and warp a (C,H,W) map."""
     transform = solve_transform(grid, lam=lam, beta=beta)
-    source = np.asarray(source)  # a (C,H,W) map warps to C * itemsize B per output location
+    source = check_source(source)  # a (C,H,W) map warps to C * itemsize B per output location
     check_lattice(out_h, out_w, transform.k, source.itemsize * int(np.prod(source.shape[:-2])))
     rows = attention_for_lattice(attention, out_h, out_w)
     sampling = build_sampling_grid(transform, attention, out_h, out_w, rows=rows)
@@ -39,7 +40,9 @@ def rectify_map(source, grid, attention, lam, beta, out_h, out_w, border="zeros"
 
 
 def rectify_with_network(image, weights, grid, lam, beta, out_h, out_w, border="zeros"):
-    """Run the forward networks, then rectify the raw image."""
+    """Check the output lattice and the grid's K, run the forward networks, rectify the image."""
+    image = real_array(image, "image")
+    check_lattice(out_h, out_w, grid.k, image.itemsize)  # the network takes (1,H,W) images
     _, regressed, attention = network.rectification_forward(image, weights, grid)
     warped, sampling = rectify_map(image, regressed, attention, lam, beta, out_h, out_w, border)
     return warped, sampling, regressed, attention

@@ -10,9 +10,32 @@ import operator
 
 import numpy as np
 
-from .errors import ShapeError, SingularMatrixError
+from .errors import ShapeError, SingularMatrixError, ValidationError
 
 PIVOT_EPS = 1e-12
+
+
+def real_array(value, field):
+    """`value` as integer or real floating array, uncopied, or as float64 from Python ints and
+    floats (e.g. one wider than int64); ValidationError naming `field` for bool, complex, str,
+    bytes or other entries, ragged nesting, and an integer past float64's range."""
+    try:
+        arr = np.asarray(value)
+        if arr.dtype.kind == "O" and all(type(v) in (int, float) for v in arr.flat):
+            arr = arr.astype(np.float64)
+    except (ValueError, OverflowError) as exc:  # ragged nesting; an integer past 1.8e308
+        raise ValidationError(f"{field} is not an array of real numbers: {exc}") from None
+    if arr.dtype.kind not in "iuf":
+        raise ValidationError(f"{field} must hold real numbers, got {arr.dtype} entries")
+    return arr
+
+
+def real_scalar(value, field):
+    """`value` as a float, by real_array's rule; ValidationError unless it is 0-d and finite."""
+    arr = real_array(value, field)
+    if arr.ndim != 0 or not np.isfinite(arr):
+        raise ValidationError(f"{field} must be one finite real number, got {arr!r}")
+    return float(arr)
 
 
 def matmul(a, b):

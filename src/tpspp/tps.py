@@ -64,7 +64,7 @@ class ControlPointGrid:
         return self.base + self.offsets
 
     def with_offsets(self, offsets):
-        offsets = np.asarray(offsets, dtype=np.float64)
+        offsets = tensor.real_array(offsets, "offsets")
         if offsets.shape != self.base.shape:
             raise InvalidGridError(f"offsets shape {offsets.shape} != {self.base.shape}")
         if not np.all(np.isfinite(offsets)):
@@ -94,14 +94,23 @@ def output_lattice(rows, cols):
     return np.stack([gx.ravel(), gy.ravel()], axis=1)
 
 
-def make_grid(rows, cols):
-    """Control-point grid on the uniform rows x cols lattice, zero offsets."""
+def check_grid(rows, cols):
+    """Grid extents as ints; InvalidGridError unless integers giving 2..MAX_CONTROL_POINTS points."""
     try:
         rows, cols = operator.index(rows), operator.index(cols)
     except TypeError:
         raise InvalidGridError(f"grid extents must be integers, got {rows!r}x{cols!r}") from None
     if rows < 1 or cols < 1 or rows * cols < 2:
         raise InvalidGridError(f"grid {rows}x{cols} has fewer than 2 points")
+    if rows * cols > MAX_CONTROL_POINTS:
+        raise InvalidGridError(f"grid {rows}x{cols} has {rows * cols} points, above the "
+                               f"bound of {MAX_CONTROL_POINTS}")
+    return rows, cols
+
+
+def make_grid(rows, cols):
+    """Control-point grid on the uniform rows x cols lattice, zero offsets."""
+    rows, cols = check_grid(rows, cols)
     base = _frozen(output_lattice(rows, cols))
     return ControlPointGrid(rows, cols, base, _frozen(np.zeros_like(base)))
 
@@ -139,12 +148,10 @@ def interpolation_system(grid):
 
     Rows 0..K-1 enforce interpolation of the regressed points; the last
     three rows are the side conditions sum(w) = sum(w*x) = sum(w*y) = 0.
-    More than MAX_CONTROL_POINTS points raise InvalidGridError before anything is allocated.
+    A grid built with extents that make_grid rejects raises InvalidGridError (check_grid).
     """
+    check_grid(grid.rows, grid.cols)
     k = grid.k
-    if k > MAX_CONTROL_POINTS:
-        raise InvalidGridError(f"grid {grid.rows}x{grid.cols} has {k} points, above the "
-                               f"bound of {MAX_CONTROL_POINTS}")
     p = np.hstack([np.ones((k, 1)), grid.base])  # (K, 3): [1, x, y]
     m = np.zeros((k + 3, k + 3))
     m[:k, :3] = p
@@ -216,12 +223,10 @@ def lattice_kernel(centers, out_h, out_w):
 def solve_transform(grid, lam=DEFAULT_LAMBDA, beta=DEFAULT_BETA):
     """Solve the interpolation system of a regressed grid for the transform.
 
-    Non-finite lam or beta raise ValidationError; a singular system or a
-    non-finite solution raises DegenerateGridError.
+    A lam or beta that is not one finite real number raises ValidationError; a singular
+    system or a non-finite solution raises DegenerateGridError.
     """
-    lam, beta = float(lam), float(beta)
-    if not (np.isfinite(lam) and np.isfinite(beta)):
-        raise ValidationError(f"lambda and beta must be finite, got {lam} and {beta}")
+    lam, beta = tensor.real_scalar(lam, "lambda"), tensor.real_scalar(beta, "beta")
     inv = system_inverse(grid)
     regressed = grid.regressed
     # a power of two scales exactly and keeps huge uniform points (e.g. +1e308 offsets, a

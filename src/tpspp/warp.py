@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGridError, ShapeError, ValidationError
+from .tensor import real_array
 from .tps import kernel_between, lattice_kernel, output_lattice
 
 # Work: M * K kernel logs where the plan cache keeps no kernel, 114M/s on a 2.1 GHz Xeon: 0.8 s.
@@ -37,7 +38,7 @@ class AttentionMatrix:
     scores: np.ndarray  # (M, K), row-major over the output lattice
 
     def __post_init__(self):
-        s = np.asarray(self.scores, dtype=np.float64)
+        s = real_array(self.scores, "attention scores").astype(np.float64, copy=False)
         if s.ndim != 2:
             raise ShapeError(f"attention scores must be a matrix, got rank {s.ndim}")
         inside = np.abs(s) < 1.0
@@ -60,7 +61,8 @@ class AttentionMatrix:
 class SamplingGrid:
     """Per output location, the normalized source coordinate to sample.
 
-    A non-finite coordinate raises DegenerateGridError.
+    Extents that are not integers >= 1 raise ValidationError (check_lattice); a non-finite
+    coordinate raises DegenerateGridError.
     """
 
     height: int
@@ -68,7 +70,8 @@ class SamplingGrid:
     coords: np.ndarray  # (height*width, 2), may leave [-1,1]^2
 
     def __post_init__(self):
-        c = np.asarray(self.coords, dtype=np.float64)
+        check_lattice(self.height, self.width, 0)  # integer extents >= 1
+        c = real_array(self.coords, "sampling coordinates").astype(np.float64, copy=False)
         if c.shape != (self.height * self.width, 2):
             raise ShapeError(f"coords shape {c.shape} != ({self.height * self.width}, 2)")
         if not np.all(np.isfinite(c)):
@@ -79,16 +82,22 @@ class SamplingGrid:
 
 def basis_vector(p, transform, attention_row):
     """[1, x, y, U(|p-c_k|) * (lam * a_k + beta) for each center k]."""
-    p = np.asarray(p, dtype=np.float64)
-    a = np.asarray(attention_row, dtype=np.float64)
-    if a.shape != (transform.k,):
-        raise ShapeError(f"attention row length {a.shape} != K={transform.k}")
+    p = real_array(p, "point").astype(np.float64, copy=False)
+    a = real_array(attention_row, "attention row").astype(np.float64, copy=False)
+    if p.shape != (2,) or a.shape != (transform.k,):
+        raise ShapeError(f"need an (x, y) point and K={transform.k} scores, got shapes {p.shape} "
+                         f"and {a.shape}")
     u = kernel_between(p[None, :], transform.centers)[0]
     return np.concatenate([[1.0, p[0], p[1]], u * (transform.lam * a + transform.beta)])
 
 
 def map_point(p, transform, attention_row):
-    return transform.t_matrix @ basis_vector(p, transform, attention_row)
+    """The source coordinate of output point p; a non-finite one raises DegenerateGridError."""
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result raises below
+        q = transform.t_matrix @ basis_vector(p, transform, attention_row)
+    if not np.all(np.isfinite(q)):
+        raise DegenerateGridError("the point maps to a non-finite source coordinate")
+    return q
 
 
 def check_lattice(out_h, out_w, k, out_bytes=0):
@@ -155,30 +164,45 @@ def build_sampling_grid(transform, attention, out_h, out_w, *, rows=None):
     return SamplingGrid(out_h, out_w, coords)
 
 
+def check_source(source):
+    """`source` as the (C,H,W) array warp samples: C, H, W >= 1, else ShapeError, and finite
+    integer or real floating values, in half its type's range if it is 64-bit, else
+    ValidationError."""
+    try:
+        source = np.asarray(source)
+    except ValueError as exc:  # ragged nesting
+        raise ShapeError(f"source is not a (C,H,W) array: {exc}") from None
+    if source.ndim != 3 or min(source.shape) < 1:
+        raise ShapeError(f"warp expects a (C,H,W) source with C, H, W >= 1, got {source.shape}")
+    if source.dtype.kind not in "iuf":
+        raise ValidationError(f"warp samples integer or real floating maps, not {source.dtype}")
+    # the four weights may sum to a few ulp over 1, so a 64-bit source keeps half its type's
+    # range free: a weighted sum of its largest values would overflow it
+    info = np.finfo(source.dtype) if source.dtype.kind == "f" else np.iinfo(source.dtype)
+    least, most = (float(v) * (0.5 if source.itemsize == 8 else 1.0) for v in (info.min, info.max))
+    inside = (source >= least) & (source <= most)  # False for NaN
+    if not inside.all():
+        ch, y, x = np.argwhere(~inside)[0]
+        raise ValidationError(f"source is not finite, or outside [{least:.4g}, {most:.4g}], at "
+                              f"channel {ch}, row {y}, col {x}")
+    return source
+
+
 def warp(source, grid, border="zeros"):
     """Bilinear sampling of a (C,H,W) map, framed by one pixel, at the grid's source coords.
 
     border="zeros": the frame is zeros, so out-of-range neighbors contribute 0;
     border="clamp": the frame repeats the edge; coordinates are clipped to the valid box first.
-    The source must hold finite integer or real floating values. The framed map is a
-    channels-last (pixels, C) table. Output locations are walked in chunks of
-    WARP_CHUNK_LOCATIONS, whose per-location setup (corner index, four weights) is computed
-    once and freed before the next chunk; each chunk is gathered in blocks of
-    WARP_BLOCK_ENTRIES // C locations into two reused (block, C) buffers, so the working
-    set stays cache-sized and memory bounded whatever the output size. The result is a
-    strided (C, H, W) view of a channels-last (H*W, C) array.
+    The source must pass check_source. The framed map is a channels-last (pixels, C) table.
+    Output locations are walked in chunks of WARP_CHUNK_LOCATIONS, whose per-location setup
+    (corner index, four weights) is computed once and freed before the next chunk; each
+    chunk is gathered in blocks of WARP_BLOCK_ENTRIES // C locations into two reused
+    (block, C) buffers, so the working set stays cache-sized and memory bounded whatever
+    the output size. The result is a strided (C, H, W) view of a channels-last (H*W, C) array.
     """
-    source = np.asarray(source)
-    if source.ndim != 3 or min(source.shape) < 1:
-        raise ShapeError(f"warp expects a (C,H,W) source with C, H, W >= 1, got {source.shape}")
+    source = check_source(source)
     if border not in ("zeros", "clamp"):
         raise ValidationError(f"unknown border policy {border!r}")
-    if source.dtype.kind not in "iuf":
-        raise ValidationError(f"warp samples integer or real floating maps, not {source.dtype}")
-    finite = np.isfinite(source)
-    if not finite.all():
-        ch, y, x = np.argwhere(~finite)[0]
-        raise ValidationError(f"source is not finite at channel {ch}, row {y}, col {x}")
     c, h, w = source.shape
     # with zeros, a coordinate a pixel or more outside reads nothing but zeros, so clipping
     # it to one pixel outside changes no output and keeps huge ones clear of the int64 cast

@@ -1,0 +1,121 @@
+"""The package's public surface: the names the README documents, its example, and a fuzz of
+the library entries, each of which must return finite output or raise a TpsError."""
+
+import re
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+import tpspp
+from tpspp import network, synth
+from tpspp.errors import TpsError
+from tpspp.rectify import rectify_map, rectify_with_network
+from tpspp.tps import make_grid, solve_transform
+from tpspp.warp import AttentionMatrix, SamplingGrid, map_point
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+
+
+def test_all_is_the_documented_list():
+    section = README.split("## Library entry points")[1].split("\n## ")[0]
+    documented = re.findall(r"^\| `(\w+)`", section, flags=re.M)
+    assert sorted(tpspp.__all__) == sorted(documented)
+    assert all(hasattr(tpspp, name) for name in tpspp.__all__)
+
+
+def test_readme_example_runs():
+    blocks = re.findall(r"```python\n(.*?)```", README, flags=re.S)
+    assert len(blocks) == 1
+    scope = {}
+    exec(compile(blocks[0], "README.md", "exec"), scope)
+    assert scope["p"].shape == (2,) and np.all(np.isfinite(scope["p"]))
+
+
+# every kind of entry a caller might pass where real numbers are expected
+ENTRIES = (st.floats() | st.integers() | st.booleans() | st.none() | st.complex_numbers()
+           | st.text(max_size=2) | st.binary(max_size=2))
+SCALARS = ENTRIES | st.just(10**400)  # an integer past float64's range
+DTYPES = st.sampled_from([np.float64, np.float32, np.float16, np.int64, np.uint8, np.bool_,
+                          np.complex128, "U2", "S2"])
+
+
+def values(shape):
+    """Arrays of `shape` or a neighbouring one, of every dtype (NaN and inf included), mixed
+    object arrays, nested lists, ragged lists and scalars."""
+    shapes = st.sampled_from([shape, shape[:-1], (1,) + shape, shape[:-1] + (shape[-1] + 1,)])
+    typed = st.tuples(DTYPES, shapes).flatmap(lambda ds: hnp.arrays(*ds))
+    mixed = shapes.flatmap(lambda s: st.lists(ENTRIES, min_size=int(np.prod(s)),
+                                              max_size=int(np.prod(s))).map(
+        lambda v, s=s: np.array(v + [None], dtype=object)[:-1].reshape(s)))
+    ragged = st.lists(st.lists(st.floats(), max_size=3), min_size=1, max_size=4)
+    return typed | typed.map(np.ndarray.tolist) | mixed | ragged | SCALARS
+
+
+GRID = make_grid(2, 2).with_offsets(np.full((4, 2), 0.05))
+TRANSFORM = solve_transform(GRID)
+
+
+def _call(entry, draw):
+    if entry == "with_offsets":
+        return make_grid(2, 2).with_offsets(draw(values((4, 2)))).offsets
+    if entry == "AttentionMatrix":
+        return AttentionMatrix(draw(values((3, 4)))).scores
+    if entry == "SamplingGrid":
+        extents = st.sampled_from([2, 4.5, "2", None, np.int32(2)])
+        return SamplingGrid(draw(extents), 2, draw(values((4, 2)))).coords
+    if entry == "solve_transform":
+        return solve_transform(GRID, draw(SCALARS), draw(SCALARS)).t_matrix
+    if entry == "map_point":
+        return map_point(draw(values((2,))), TRANSFORM, draw(values((4,))))
+    scores = draw(st.none() | values((24, 4)))
+    attention = None if scores is None else AttentionMatrix(scores)
+    warped, sampling = rectify_map(draw(values((1, 3, 5))), GRID, attention, draw(SCALARS),
+                                   draw(SCALARS), 4, 6)
+    return warped, sampling.coords
+
+
+def _finite_or_typed(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow, cast or complex warning either
+        try:
+            out = call()
+        except TpsError:
+            return
+    for arr in out if isinstance(out, tuple) else (out,):
+        assert np.all(np.isfinite(arr))
+
+
+@settings(max_examples=400, deadline=None)
+@given(entry=st.sampled_from(["with_offsets", "AttentionMatrix", "SamplingGrid",
+                              "solve_transform", "map_point", "rectify_map"]), data=st.data())
+def test_library_entries_finite_or_typed(entry, data):
+    _finite_or_typed(lambda: _call(entry, data.draw))
+
+
+WEIGHTS = network.init_weights(0)
+STRIPE = synth.make_stripe_image(3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(image=st.just(STRIPE) | values((1, 32, 128)), lam=SCALARS, beta=SCALARS,
+       grid=st.sampled_from([(4, 16), (2, 32), (3, 16)]))
+def test_network_entry_finite_or_typed(image, lam, beta, grid):
+    def call():
+        warped, sampling, regressed, attention = rectify_with_network(
+            image, WEIGHTS, make_grid(*grid), lam, beta, 16, 64)
+        return warped, sampling.coords, regressed.offsets, attention.scores
+
+    _finite_or_typed(call)
+
+
+@pytest.mark.parametrize("grid, attention", [(None, None), (GRID, np.zeros((16, 4)))],
+                         ids=["grid-None", "bare-ndarray-attention"])
+def test_programming_errors_stay_python_exceptions(grid, attention):
+    # an argument of the wrong package type is a programming error: the library does not check it
+    with pytest.raises(AttributeError):
+        rectify_map(np.ones((1, 4, 4)), grid, attention, 0.5, 1.0, 4, 4)

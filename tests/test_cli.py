@@ -13,7 +13,7 @@ from tpspp import fileio, network, synth
 from tpspp.cli import main
 from tpspp.errors import ShapeError, ValidationError
 from tpspp.rectify import rectify_with_network
-from tpspp.tps import make_grid
+from tpspp.tps import ControlPointGrid, make_grid, output_lattice
 from tpspp.warp import AttentionMatrix
 
 
@@ -238,7 +238,8 @@ class TestRectify:
 
     def test_too_many_control_points_exit_2(self, tmp_path, stripe):
         pts = tmp_path / "pts.json"
-        fileio.export_grid_json(make_grid(150, 150), None, pts)
+        base = output_lattice(150, 150)  # make_grid itself rejects 22500 points
+        fileio.export_grid_json(ControlPointGrid(150, 150, base, np.zeros_like(base)), None, pts)
         out = tmp_path / "out.pgm"
         assert run("rectify", "--image", str(stripe), "--points", str(pts), "--out", str(out),
                    "--overlay") == 2

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tpspp import network, rectify, synth
-from tpspp.errors import MissingParameterError, ShapeError
+from tpspp.errors import MissingParameterError, ShapeError, ValidationError
 from tpspp.tps import make_grid, output_lattice, solve_transform
 from tpspp.warp import map_point
 
@@ -193,6 +194,12 @@ class TestContracts:
         assert 2e5 <= n <= 1e6
         assert n == network.rectifier_parameter_count()
 
+    @pytest.mark.parametrize("bad", [np.array(["0.1"]), np.array([0.1j]), np.array([True])],
+                             ids=["str", "complex", "bool"])
+    def test_non_real_weights_rejected(self, bad):
+        with pytest.raises(ValidationError):
+            network.WeightStore({"aipe.offset2.bias": bad})
+
     def test_manifest_covers_store(self, weights):
         for name, shape in network.WEIGHT_MANIFEST.items():
             assert weights[name].shape == shape
@@ -214,3 +221,41 @@ def test_network_scores_read_as_decoded(image, out_h, out_w):
     want = [map_point(p, t, scores[i * 16 // out_h, j * 64 // out_w])
             for (i, j), p in zip(np.ndindex(out_h, out_w), output_lattice(out_h, out_w))]
     assert np.abs(sampling.coords - np.array(want)).max() <= 1e-12
+
+
+class TestRectifyWithNetwork:
+    @pytest.mark.parametrize("bad", [np.full((1, 32, 128), "0.5"), np.full((1, 32, 128), 0.5j)],
+                             ids=["str", "complex"])
+    def test_non_real_image_rejected(self, weights, bad):
+        with pytest.raises(ValidationError):
+            rectify.rectify_with_network(bad, weights, make_grid(4, 16), 0.5, 1.0, 32, 128)
+
+    @pytest.mark.parametrize("rows, cols, out_h, out_w, error", [
+        (3, 16, 32, 128, ShapeError),                 # K = 48, the offset head regresses 64
+        (4, 16, 100000, 100000, ValidationError)])    # 10^10 locations, over the lattice bounds
+    def test_rejected_before_the_forward(self, weights, image, rows, cols, out_h, out_w, error):
+        grid = make_grid(rows, cols)
+        tracemalloc.start()
+        try:
+            with pytest.raises(error):
+                rectify.rectify_with_network(image, weights, grid, 0.5, 1.0, out_h, out_w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # a forward alone peaks near 8 MiB
+
+    # pytest turns a RuntimeWarning into an error: the forward's overflow must not be reported
+    def test_overflowing_weights_finite(self, image):
+        tensors = {name: arr * np.float32(1e6) for name, arr in network.init_weights(0).items()}
+        warped, *_ = rectify.rectify_with_network(image, network.WeightStore(tensors),
+                                                  make_grid(4, 16), 0.5, 1.0, 32, 128)
+        assert np.all(np.isfinite(warped))  # float32 casts overflow; the scores saturate
+
+    @pytest.mark.parametrize("bad", [np.inf, 1e39])  # 1e39: a float64 past float32's range
+    def test_inf_weight_rejected(self, image, bad):
+        tensors = dict(network.init_weights(0).items())
+        tensors["backbone.conv1.weight"] = tensors["backbone.conv1.weight"].astype(np.float64)
+        tensors["backbone.conv1.weight"][0, 0, 1, 1] = bad
+        with pytest.raises(ValidationError):  # non-finite offsets, from with_offsets
+            rectify.rectify_with_network(image, network.WeightStore(tensors), make_grid(4, 16),
+                                         0.5, 1.0, 32, 128)

@@ -11,7 +11,12 @@ from hypothesis import strategies as st
 
 from tpspp import tensor, tps
 from tpspp.errors import DegenerateGridError, DomainError, InvalidGridError, ValidationError
+from tpspp.rectify import rectify_map
 from tpspp.warp import map_point
+
+
+# a lambda or beta that is not one real number: each raises ValidationError
+NON_REAL_LAMBDA_BETA = [("x", 1.0), (None, 1.0), (1j, 1.0), (0.5, "x"), (0.5, None), (0.5, 1j)]
 
 
 class TestMakeGrid:
@@ -48,10 +53,26 @@ class TestMakeGrid:
         with pytest.raises(InvalidGridError):
             tps.make_grid(rows, cols)
 
+    def test_control_points_bounded_before_allocation(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidGridError, match="1000000 points"):
+                tps.make_grid(1000, 1000)  # a 32 MB lattice and offsets
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_offsets_rejected(self, bad):
         offsets = np.zeros((4, 2))
         offsets[2, 1] = bad
+        with pytest.raises(ValidationError):
+            tps.make_grid(2, 2).with_offsets(offsets)
+
+    @pytest.mark.parametrize("offsets", [np.full((4, 2), "0.1"), np.full((4, 2), 0.1 + 0.1j),
+                                         np.zeros((4, 2), bool)], ids=["str", "complex", "bool"])
+    def test_non_real_offsets_rejected(self, offsets):
         with pytest.raises(ValidationError):
             tps.make_grid(2, 2).with_offsets(offsets)
 
@@ -135,11 +156,10 @@ class TestKernelMatrix:
 
 class TestSolveTransform:
     def test_control_points_bounded_before_allocation(self):
-        g = tps.make_grid(150, 150)  # K = 22500: a 3.77 GiB (K+3)^2 system
         tracemalloc.start()
         try:
             with pytest.raises(InvalidGridError, match="22500 points"):
-                tps.solve_transform(g)
+                tps.solve_transform(tps.make_grid(150, 150))  # K = 22500: a 3.77 GiB system
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -148,6 +168,18 @@ class TestSolveTransform:
             tps.interpolation_system(tps.make_grid(1, tps.MAX_CONTROL_POINTS + 1))
         m, _ = tps.interpolation_system(tps.make_grid(32, 32))  # the bound itself is admitted
         assert tps.MAX_CONTROL_POINTS == 1024 and m.shape == (1027, 1027)
+
+    def test_built_grid_bounded_before_allocation(self):
+        base = tps.output_lattice(150, 150)  # a grid make_grid would not build
+        g = tps.ControlPointGrid(150, 150, base, np.zeros_like(base))
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidGridError, match="22500 points"):
+                tps.solve_transform(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_identity(self):
         t = tps.solve_transform(tps.make_grid(4, 16))
@@ -210,10 +242,16 @@ class TestSolveTransform:
         assert t.lam == 0.5 and t.beta == 1.0
 
     @pytest.mark.parametrize("lam, beta", [(float("nan"), 1.0), (0.5, float("inf")),
-                                           (0.5, float("-inf")), (float("-inf"), float("nan"))])
+                                           (0.5, float("-inf")), (float("-inf"), float("nan")),
+                                           *NON_REAL_LAMBDA_BETA])
     def test_non_finite_lambda_beta_rejected(self, lam, beta):
         with pytest.raises(ValidationError):
             tps.solve_transform(tps.make_grid(4, 16), lam=lam, beta=beta)
+
+    @pytest.mark.parametrize("lam, beta", NON_REAL_LAMBDA_BETA)
+    def test_non_real_lambda_beta_rejected_by_rectify_map(self, lam, beta):
+        with pytest.raises(ValidationError):
+            rectify_map(np.ones((1, 4, 4)), tps.make_grid(2, 2), None, lam, beta, 6, 8)
 
     def test_overflowing_solution_degenerate_without_warnings(self):
         signs = np.random.default_rng(0).choice([-1.0, 1.0], (64, 2))

@@ -44,6 +44,12 @@ class TestAttentionMatrix:
         with pytest.raises(ValidationError, match="row 1, col 3"):
             AttentionMatrix(s)
 
+    @pytest.mark.parametrize("scores", [np.full((2, 4), "0.1"), np.full((2, 4), 0.1 + 0.1j),
+                                        np.zeros((2, 4), bool)], ids=["str", "complex", "bool"])
+    def test_non_real_scores_rejected(self, scores):
+        with pytest.raises(ValidationError):
+            AttentionMatrix(scores)
+
     def test_zeros(self, zero_attention):
         a = zero_attention(6, 4)
         assert a.m_locations == 6 and a.k_points == 4
@@ -75,6 +81,28 @@ class TestBasisVector:
 
 
 class TestMapPoint:
+    @pytest.mark.parametrize("p, row", [(np.array(["0.1", "0.2"]), np.zeros(64)),
+                                        (np.array([0.1 + 1j, 0.2]), np.zeros(64)),
+                                        (np.zeros(2), np.full(64, "0.1"))],
+                             ids=["str-point", "complex-point", "str-row"])
+    def test_non_real_input_rejected(self, p, row):
+        _, t = random_transform(3)
+        with pytest.raises(ValidationError):
+            map_point(p, t, row)
+
+    @pytest.mark.parametrize("p", [[np.nan, 0.0], [1e200, 0.0]])
+    def test_non_finite_result_degenerate(self, p):
+        _, t = random_transform(3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the overflow is checked, not reported
+            with pytest.raises(DegenerateGridError):
+                map_point(p, t, np.zeros(64))
+
+    def test_point_shape_checked(self):
+        _, t = random_transform(3)
+        with pytest.raises(ShapeError):
+            map_point(np.zeros(3), t, np.zeros(64))
+
     def test_identity_any_attention(self):
         t = tps.solve_transform(tps.make_grid(4, 16))
         rng = np.random.default_rng(4)
@@ -401,6 +429,13 @@ class TestWarp:
             got = warp(src, SamplingGrid(1, 4, far), border=border)
         assert got.tobytes() == warp(src, SamplingGrid(1, 4, near), border=border).tobytes()
 
+    @pytest.mark.parametrize("height, width, coords", [
+        (1, 2, np.full((2, 2), "0.1")), (1, 2, np.full((2, 2), 0.1 + 0.1j)),
+        (4.5, 4, np.zeros((18, 2)))], ids=["str", "complex", "fractional-extent"])
+    def test_non_real_input_rejected(self, height, width, coords):
+        with pytest.raises(ValidationError):
+            SamplingGrid(height, width, coords)
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_coordinates_unconstructible(self, bad):
         with pytest.raises(DegenerateGridError):
@@ -410,6 +445,13 @@ class TestWarp:
     def test_source_shape_checked(self, shape):
         with pytest.raises(ShapeError):
             warp(np.zeros(shape, np.float32), SamplingGrid(1, 1, np.zeros((1, 2))))
+
+    def test_ragged_source_rejected(self):
+        ragged = [[[0.0, 0.0], [0.0]]]
+        with pytest.raises(ShapeError):
+            warp(ragged, SamplingGrid(1, 1, np.zeros((1, 2))))
+        with pytest.raises(ShapeError):
+            rectify_map(ragged, tps.make_grid(2, 2), None, 0.5, 1.0, 3, 4)
 
     @pytest.mark.parametrize("src", [np.ones((1, 2, 2), bool), np.ones((1, 2, 2), complex),
                                      np.full((1, 2, 2), "1"), np.ones((1, 2, 2), object)])
@@ -425,6 +467,22 @@ class TestWarp:
             warp(src, SamplingGrid(1, 1, np.zeros((1, 2))))
         with pytest.raises(ValidationError):
             rectify_map(src, tps.make_grid(2, 2), None, 0.5, 1.0, 3, 4)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64, np.uint64])
+    def test_64_bit_source_keeps_half_its_range(self, dtype):
+        # the four weights may sum to a few ulp over 1: at the type's largest value the
+        # weighted sum overflows float64 or the cast back to the 64-bit integer type
+        info = np.finfo(dtype) if np.dtype(dtype).kind == "f" else np.iinfo(dtype)
+        coords = np.random.default_rng(0).uniform(-1, 1, (1000, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="channel 0, row 1, col 2"):
+                src = np.zeros((1, 3, 3), dtype)
+                src[0, 1, 2] = info.max
+                warp(src, SamplingGrid(1, 1000, coords))
+            half = np.full((1, 3, 3), info.max // 2 if dtype != np.float64 else info.max / 2, dtype)
+            for border in ("zeros", "clamp"):
+                assert np.all(np.isfinite(warp(half, SamplingGrid(1, 1000, coords), border)))
 
     def test_unknown_border(self):
         src = np.zeros((1, 2, 2), dtype=np.float32)
