@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DuplicateEntryError, FormatError, TruncationError, ValidationError
 from .network import WeightStore
-from .tensor import real_array, real_scalar
+from .tensor import read_only, real_array, real_scalar
 from .tps import make_grid
 from .warp import AttentionMatrix
 
@@ -203,9 +203,11 @@ def import_grid_json(path):
         raise ValidationError("grid extents must be JSON integers, got "
                               f"{type(rows).__name__} and {type(cols).__name__}")
     base = real_array(doc["base"], "base")
-    offsets = real_array(doc["offsets"], "offsets")
+    # offsets and scores are fresh arrays, handed over read-only: their types keep them uncopied
+    offsets = read_only(real_array(doc["offsets"], "offsets"))
     lam, beta = real_scalar(doc["lambda"], "lambda"), real_scalar(doc["beta"], "beta")
-    scores = None if doc["attention"] is None else real_array(doc["attention"], "attention")
+    scores = doc["attention"]
+    scores = None if scores is None else read_only(real_array(scores, "attention"))
     if base.shape != (rows * cols, 2):
         raise ValidationError(f"base shape {base.shape} != ({rows * cols}, 2)")
     grid = make_grid(rows, cols)

@@ -38,9 +38,7 @@ class WeightStore:
         store = {}
         for name, arr in tensors.items():
             with np.errstate(over="ignore"):  # past float32's range is inf, as in the forward
-                arr = np.ascontiguousarray(tensor.real_array(arr, name), dtype=np.float32)
-            arr.flags.writeable = False
-            store[name] = arr
+                store[name] = tensor.frozen_real_array(arr, name, np.float32)
         self._tensors = store
 
     def __getitem__(self, name):
@@ -175,6 +173,8 @@ def toy_backbone(image, w):
     image = tensor.real_array(image, "image")
     if image.shape != (1, INPUT_H, INPUT_W):
         raise ShapeError(f"expected (1, {INPUT_H}, {INPUT_W}) input, got {image.shape}")
+    if image.dtype.kind in "iu":  # conv2d keeps its input's dtype: integer maps would truncate
+        image = image.astype(np.float32)
     f1 = _conv(image, w, "backbone.conv1", stride=1, pad=1)
     f2 = _conv(f1, w, "backbone.conv2", stride=2, pad=1)
     f3 = _conv(f2, w, "backbone.conv3", stride=1, pad=1)
@@ -289,7 +289,8 @@ def aipe_forward(pair, w, grid):
     m_seq = gated.transpose(1, 2, 0).reshape(DEC_H * DEC_W, D)
     # tensor.tanh keeps the scores inside the open interval (-1, 1)
     scores = tensor.tanh(m_seq.astype(np.float64) @ fe_seq.astype(np.float64).T / np.sqrt(D))
-    return grid.with_offsets(offsets.astype(np.float64)), DecodedAttention(scores)
+    return (grid.with_offsets(tensor.read_only(offsets.astype(np.float64))),
+            DecodedAttention(tensor.read_only(scores)))
 
 
 def rectification_forward(image, w, grid):

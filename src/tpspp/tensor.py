@@ -30,6 +30,23 @@ def real_array(value, field):
     return arr
 
 
+def read_only(arr):
+    """`arr`, frozen in place: for an array the library made, which the types that keep a
+    read-only array then hold uncopied."""
+    arr.flags.writeable = False
+    return arr
+
+
+def frozen_real_array(value, field, dtype):
+    """real_array(value) as a read-only C-contiguous `dtype` array that no caller can write to.
+    A conversion, or an array that is read-only already, is kept; a writeable ndarray that
+    needs no conversion is copied, so freezing never reaches the caller's own array."""
+    arr = np.ascontiguousarray(real_array(value, field), dtype=dtype)
+    if arr.flags.writeable and isinstance(value, np.ndarray) and np.may_share_memory(arr, value):
+        arr = arr.copy()
+    return read_only(arr)
+
+
 def real_scalar(value, field):
     """`value` as a float, by real_array's rule; ValidationError unless it is 0-d and finite."""
     arr = real_array(value, field)

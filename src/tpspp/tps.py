@@ -41,9 +41,7 @@ MAX_CONTROL_POINTS = 1024
 
 
 def _frozen(arr):
-    arr = np.ascontiguousarray(arr, dtype=np.float64)
-    arr.flags.writeable = False
-    return arr
+    return tensor.read_only(np.ascontiguousarray(arr, dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -64,12 +62,12 @@ class ControlPointGrid:
         return self.base + self.offsets
 
     def with_offsets(self, offsets):
-        offsets = tensor.real_array(offsets, "offsets")
+        offsets = tensor.frozen_real_array(offsets, "offsets", np.float64)
         if offsets.shape != self.base.shape:
             raise InvalidGridError(f"offsets shape {offsets.shape} != {self.base.shape}")
         if not np.all(np.isfinite(offsets)):
             raise ValidationError("offsets contain non-finite values")
-        return ControlPointGrid(self.rows, self.cols, self.base, _frozen(offsets))
+        return ControlPointGrid(self.rows, self.cols, self.base, offsets)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGridError, ShapeError, ValidationError
-from .tensor import real_array
+from .tensor import frozen_real_array, read_only, real_array
 from .tps import kernel_between, lattice_kernel, output_lattice
 
 # Work: M * K kernel logs where the plan cache keeps no kernel, 114M/s on a 2.1 GHz Xeon: 0.8 s.
@@ -21,13 +21,15 @@ MAX_KERNEL_ENTRIES = 89_478_485
 LOCATION_BYTES = 48
 MAX_LATTICE_BYTES = 4 << 30
 
-# warp gathers at most this many float64 entries per neighbor at once, and
-# build_sampling_grid scales about as many kernel entries per block: 512 KiB, which stays
-# in L2, e.g. 1024 output locations of a 64-channel map or of 64 control points
+# warp gathers at most this many entries per neighbor at once, and build_sampling_grid
+# scales about as many float64 kernel entries per block: 256 KiB of float32 or 512 KiB of
+# float64, which stays in L2, e.g. 1024 output locations of a 64-channel map or of 64
+# control points
 WARP_BLOCK_ENTRIES = 1 << 16
 
 # warp computes the bilinear setup of this many output locations at once, eleven float64 or
-# int64 arrays of 128 KiB, and frees it before the next chunk
+# int64 arrays of 128 KiB (and the four weights rounded to float32 for a float32 source), and
+# frees it before the next chunk
 WARP_CHUNK_LOCATIONS = 1 << 14
 
 
@@ -38,14 +40,13 @@ class AttentionMatrix:
     scores: np.ndarray  # (M, K), row-major over the output lattice
 
     def __post_init__(self):
-        s = real_array(self.scores, "attention scores").astype(np.float64, copy=False)
+        s = frozen_real_array(self.scores, "attention scores", np.float64)
         if s.ndim != 2:
             raise ShapeError(f"attention scores must be a matrix, got rank {s.ndim}")
         inside = np.abs(s) < 1.0
         if not inside.all():
             i, j = np.argwhere(~inside)[0]
             raise ValidationError(f"attention score out of (-1,1) at row {i}, col {j}: {s[i, j]}")
-        s.flags.writeable = False
         object.__setattr__(self, "scores", s)
 
     @property
@@ -71,12 +72,11 @@ class SamplingGrid:
 
     def __post_init__(self):
         check_lattice(self.height, self.width, 0)  # integer extents >= 1
-        c = real_array(self.coords, "sampling coordinates").astype(np.float64, copy=False)
+        c = frozen_real_array(self.coords, "sampling coordinates", np.float64)
         if c.shape != (self.height * self.width, 2):
             raise ShapeError(f"coords shape {c.shape} != ({self.height * self.width}, 2)")
         if not np.all(np.isfinite(c)):
             raise DegenerateGridError("a sampling coordinate is not finite")
-        c.flags.writeable = False
         object.__setattr__(self, "coords", c)
 
 
@@ -161,13 +161,13 @@ def build_sampling_grid(transform, attention, out_h, out_w, *, rows=None):
                 np.take(gathered, rows[block], axis=0, out=scaled, mode="clip")
                 scaled *= u
             coords[block] = scaled @ t[:, 3:].T + lattice[block] @ t[:, 1:3].T + t[:, 0]
-    return SamplingGrid(out_h, out_w, coords)
+    return SamplingGrid(out_h, out_w, read_only(coords))
 
 
 def check_source(source):
     """`source` as the (C,H,W) array warp samples: C, H, W >= 1, else ShapeError, and finite
-    integer or real floating values, in half its type's range if it is 64-bit, else
-    ValidationError."""
+    integer or real floating values, in half its type's range if it is 64-bit or float32,
+    else ValidationError."""
     try:
         source = np.asarray(source)
     except ValueError as exc:  # ragged nesting
@@ -176,10 +176,12 @@ def check_source(source):
         raise ShapeError(f"warp expects a (C,H,W) source with C, H, W >= 1, got {source.shape}")
     if source.dtype.kind not in "iuf":
         raise ValidationError(f"warp samples integer or real floating maps, not {source.dtype}")
-    # the four weights may sum to a few ulp over 1, so a 64-bit source keeps half its type's
+    # the four weights may sum to a few ulp over 1, so a source sampled in its own type's
+    # precision (float32, float64) or beyond float64's (int64, uint64) keeps half its type's
     # range free: a weighted sum of its largest values would overflow it
     info = np.finfo(source.dtype) if source.dtype.kind == "f" else np.iinfo(source.dtype)
-    least, most = (float(v) * (0.5 if source.itemsize == 8 else 1.0) for v in (info.min, info.max))
+    half = source.itemsize == 8 or source.dtype == np.float32
+    least, most = (float(v) * (0.5 if half else 1.0) for v in (info.min, info.max))
     inside = (source >= least) & (source <= most)  # False for NaN
     if not inside.all():
         ch, y, x = np.argwhere(~inside)[0]
@@ -193,7 +195,10 @@ def warp(source, grid, border="zeros"):
 
     border="zeros": the frame is zeros, so out-of-range neighbors contribute 0;
     border="clamp": the frame repeats the edge; coordinates are clipped to the valid box first.
-    The source must pass check_source. The framed map is a channels-last (pixels, C) table.
+    The source must pass check_source. It is sampled in float32 if it is float32, else in
+    float64: the framed map is a channels-last (pixels, C) table of that working dtype, and
+    each location's four weights, computed in float64, are rounded to it once, so a float32
+    output is within about 6 * 2^-24 * max|source| of the exact bilinear value.
     Output locations are walked in chunks of WARP_CHUNK_LOCATIONS, whose per-location setup
     (corner index, four weights) is computed once and freed before the next chunk; each
     chunk is gathered in blocks of WARP_BLOCK_ENTRIES // C locations into two reused
@@ -207,12 +212,13 @@ def warp(source, grid, border="zeros"):
     # with zeros, a coordinate a pixel or more outside reads nothing but zeros, so clipping
     # it to one pixel outside changes no output and keeps huge ones clear of the int64 cast
     lo = 0.0 if border == "clamp" else -1.0
-    framed = np.pad(source.astype(np.float64).transpose(1, 2, 0), ((1, 1), (1, 1), (0, 0)),
+    work = np.float32 if source.dtype == np.float32 else np.float64
+    framed = np.pad(source.astype(work, copy=False).transpose(1, 2, 0), ((1, 1), (1, 1), (0, 0)),
                     mode="edge" if border == "clamp" else "constant").reshape(-1, c)
     m = grid.coords.shape[0]
     out = np.empty((m, c), dtype=source.dtype)
     step = min(max(1, WARP_BLOCK_ENTRIES // c), WARP_CHUNK_LOCATIONS, m)
-    gathered, acc = np.empty((step, c)), np.empty((step, c))
+    gathered, acc = np.empty((step, c), work), np.empty((step, c), work)
     for start in range(0, m, WARP_CHUNK_LOCATIONS):
         chunk = slice(start, start + WARP_CHUNK_LOCATIONS)
         _warp_chunk(framed, grid.coords[chunk], out[chunk], h, w, lo, gathered, acc)
@@ -234,7 +240,7 @@ def _warp_chunk(framed, coords, out, h, w, lo, gathered, acc):
     corner = ((y0 + 1.0) * (w + 2) + (x0 + 1.0)).astype(np.int64)  # flat index of (y0, x0)
     # the table from a neighbor's offset on holds that neighbor at the corner's index, which
     # is in range by construction, so mode="clip" never clips: it only skips numpy's buffering
-    neighbors = [(framed[offset:], wgt) for offset, wgt in (
+    neighbors = [(framed[offset:], wgt.astype(framed.dtype, copy=False)) for offset, wgt in (
         (0, (1.0 - fx) * (1.0 - fy)), (1, fx * (1.0 - fy)),
         (w + 2, (1.0 - fx) * fy), (w + 3, fx * fy))]
     for start in range(0, len(coords), len(acc)):

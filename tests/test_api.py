@@ -119,3 +119,20 @@ def test_programming_errors_stay_python_exceptions(grid, attention):
     # an argument of the wrong package type is a programming error: the library does not check it
     with pytest.raises(AttributeError):
         rectify_map(np.ones((1, 4, 4)), grid, attention, 0.5, 1.0, 4, 4)
+
+
+@pytest.mark.parametrize("build, dtype", [
+    (lambda a: make_grid(2, 2).with_offsets(a).offsets, np.float64),
+    (lambda a: AttentionMatrix(a).scores, np.float64),
+    (lambda a: SamplingGrid(2, 2, a).coords, np.float64),
+    (lambda a: network.WeightStore({"w": a})["w"], np.float32)],
+    ids=["with_offsets", "AttentionMatrix", "SamplingGrid", "WeightStore"])
+def test_callers_array_stays_writeable(build, dtype):
+    # an array that needs no conversion is copied before it is frozen, unless it is read-only
+    mine = np.zeros((4, 2), dtype)
+    kept = build(mine)
+    mine[0, 0] = 0.5
+    assert kept[0, 0] == 0.0 and not kept.flags.writeable
+    frozen = np.zeros((4, 2), dtype)
+    frozen.flags.writeable = False
+    assert build(frozen) is frozen

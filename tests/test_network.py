@@ -244,6 +244,20 @@ class TestRectifyWithNetwork:
             tracemalloc.stop()
         assert peak < 1 << 20  # a forward alone peaks near 8 MiB
 
+    def test_integer_image_convolved_as_float32(self):
+        # conv2d keeps its input's dtype, so an integer image must not reach it as it is
+        tensors = dict(network.init_weights(3).items())
+        tensors["aipe.offset2.weight"] = np.random.default_rng(3).uniform(
+            -0.05, 0.05, (2, network.D)).astype(np.float32)
+        weights, grid = network.WeightStore(tensors), make_grid(4, 16)
+        pixels = synth.make_stripe_image(3) > 0.5
+        got, want = (rectify.rectify_with_network(pixels.astype(dtype), weights, grid, 0.5, 1.0,
+                                                  32, 128) for dtype in (np.uint8, np.float32))
+        assert got[0].dtype == np.uint8  # the warp of the image keeps the image's dtype
+        assert np.any(want[2].offsets != 0.0)
+        np.testing.assert_array_equal(got[2].offsets, want[2].offsets)
+        np.testing.assert_array_equal(got[3].scores, want[3].scores)
+
     # pytest turns a RuntimeWarning into an error: the forward's overflow must not be reported
     def test_overflowing_weights_finite(self, image):
         tensors = {name: arr * np.float32(1e6) for name, arr in network.init_weights(0).items()}

@@ -13,4 +13,4 @@ def test_output_digest_prints_one_line_per_case():
     lines = out.stdout.splitlines()
     assert all(re.fullmatch(r"\S+ [0-9a-f]{64}", line) for line in lines), lines
     names = [line.split()[0] for line in lines]
-    assert len(set(names)) == len(names) == 88
+    assert len(set(names)) == len(names) == 96

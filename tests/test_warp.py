@@ -468,10 +468,11 @@ class TestWarp:
         with pytest.raises(ValidationError):
             rectify_map(src, tps.make_grid(2, 2), None, 0.5, 1.0, 3, 4)
 
-    @pytest.mark.parametrize("dtype", [np.float64, np.int64, np.uint64])
-    def test_64_bit_source_keeps_half_its_range(self, dtype):
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int64, np.uint64])
+    def test_float32_and_64_bit_sources_keep_half_their_range(self, dtype):
         # the four weights may sum to a few ulp over 1: at the type's largest value the
-        # weighted sum overflows float64 or the cast back to the 64-bit integer type
+        # weighted sum overflows the float32 or float64 it is summed in, or the cast back to
+        # the 64-bit integer type
         info = np.finfo(dtype) if np.dtype(dtype).kind == "f" else np.iinfo(dtype)
         coords = np.random.default_rng(0).uniform(-1, 1, (1000, 2))
         with warnings.catch_warnings():
@@ -483,6 +484,26 @@ class TestWarp:
             half = np.full((1, 3, 3), info.max // 2 if dtype != np.float64 else info.max / 2, dtype)
             for border in ("zeros", "clamp"):
                 assert np.all(np.isfinite(warp(half, SamplingGrid(1, 1000, coords), border)))
+
+    @pytest.mark.parametrize("border", ["zeros", "clamp"])
+    def test_float32_map_within_float32_precision(self, border):
+        # a float32 map is sampled in float32: its four weights are rounded once, then four
+        # products and three sums each round within 2^-24 of max|source|
+        rng = np.random.default_rng(19)
+        src = rng.standard_normal((64, 16, 64)).astype(np.float32)
+        h, w = 65, 257  # 16705 locations: a chunk of 2^14, then a partial block of a second
+        coords = rng.uniform(-1.1, 1.1, (h * w, 2))
+        out = warp(src, SamplingGrid(h, w, coords), border=border).reshape(64, h * w)
+        assert out.dtype == np.float32
+        edges = np.arange(WARP_BLOCK_ENTRIES // 64, h * w, WARP_BLOCK_ENTRIES // 64)
+        assert WARP_CHUNK_LOCATIONS in edges
+        picked = np.unique(np.concatenate([edges - 1, edges, [h * w - 1],
+                                           rng.choice(h * w, 200, replace=False)]))
+        bound = 6 * 2.0**-24 * float(np.abs(src).max())
+        for m in picked:
+            px, py = (coords[m, 0] + 1.0) / 2.0 * 63, (coords[m, 1] + 1.0) / 2.0 * 15
+            ref = [bilinear_sample_scalar(src[ch], px, py, border) for ch in range(64)]
+            assert np.max(np.abs(out[:, m] - ref)) <= bound, m
 
     def test_unknown_border(self):
         src = np.zeros((1, 2, 2), dtype=np.float32)
@@ -515,9 +536,9 @@ class TestWarp:
         assert got.tobytes() == np.concatenate(parts, axis=2).tobytes()
 
     def test_memory_bounded_by_block(self):
-        # beside its output, the warp holds the float64 source, its framed copy, two blocks
-        # of WARP_BLOCK_ENTRIES and one chunk's setup: about 3.2 MB here, whatever the number
-        # of locations
+        # beside its output, the warp holds the framed float32 table, two blocks of
+        # WARP_BLOCK_ENTRIES and one chunk's setup: about 2.5 MB here, whatever the number of
+        # locations
         rng = np.random.default_rng(16)
         src = rng.standard_normal((64, 16, 64)).astype(np.float32)
         extra = []

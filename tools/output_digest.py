@@ -13,6 +13,10 @@ The set covers the paper's full path and the network-free one:
 - `rectify_map` on a 64-channel float32 map at 16x64, 32x128, 64x256 and
   65x257, whose warp ends one chunk of locations into a partial block, with
   null and decoded scores, under both borders;
+- `rectify_map` on a 4-channel float64 map and on a 4-channel uint8 map at
+  65x257, with null and decoded scores, under both borders: the warped
+  outputs alone, of the sources the warp samples in float64 (a float32 map
+  is sampled in float32);
 - `rectify_map` where the sampling grid's blocks of locations end mid-lattice:
   17x63 and 65x257 with 4x16 control points, 33x100 with 2x2 and 8x16, each
   with null, decoded and per-location scores, and with 4x16, null and decoded
@@ -100,6 +104,21 @@ def block_edge_outputs():
             yield f"{name}.coords", sampling.coords
 
 
+def dtype_outputs():
+    rng = np.random.default_rng(17)
+    sources = {"float64": rng.standard_normal((4, 16, 64)),
+               "uint8": rng.integers(0, 256, (4, 16, 64), dtype=np.uint8)}
+    grid = tps.make_grid(4, 16)
+    grid = grid.with_offsets(rng.uniform(-0.1, 0.1, grid.base.shape))
+    decoded = network.DecodedAttention(rng.uniform(-0.9, 0.9, (1024, grid.k)))
+    for dtype, source in sources.items():
+        for scores, attention in [("null", None), ("decoded", decoded)]:
+            for border in ("zeros", "clamp"):
+                warped, _ = rectify.rectify_map(source, grid, attention, LAM, BETA, 65, 257,
+                                                border=border)
+                yield f"dtype.{dtype}.65x257.{scores}.{border}.warped", warped
+
+
 def points_outputs():
     rng = np.random.default_rng(13)
     grid = tps.make_grid(4, 16)
@@ -117,7 +136,8 @@ def points_outputs():
 
 
 def main():
-    for outputs in (network_outputs(), map_outputs(), block_edge_outputs(), points_outputs()):
+    for outputs in (network_outputs(), map_outputs(), dtype_outputs(), block_edge_outputs(),
+                    points_outputs()):
         for name, array in outputs:
             print(name, digest(array))
 
