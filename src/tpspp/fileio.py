@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DuplicateEntryError, FormatError, TruncationError, ValidationError
 from .network import WeightStore
 from .tensor import read_only, real_array, real_scalar
-from .tps import make_grid
+from .tps import DEFAULT_BETA, DEFAULT_LAMBDA, make_grid
 from .warp import AttentionMatrix
 
 MAGIC = b"TPSW"
@@ -165,7 +165,7 @@ def save_image(t, path):
         fh.write(q.tobytes())
 
 
-def export_grid_json(grid, attention, path, lam=0.5, beta=1.0):
+def export_grid_json(grid, attention, path, lam=DEFAULT_LAMBDA, beta=DEFAULT_BETA):
     """Write grid + attention as JSON; attention may be None (all-zero)."""
     doc = {
         "rows": grid.rows,

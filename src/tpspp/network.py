@@ -58,12 +58,8 @@ class WeightStore:
     def items(self):
         return ((k, self._tensors[k]) for k in sorted(self._tensors))
 
-    def parameter_count(self, prefixes=None):
-        total = 0
-        for name, arr in self.items():
-            if prefixes is None or any(name.startswith(p) for p in prefixes):
-                total += arr.size
-        return total
+    def parameter_count(self):
+        return sum(arr.size for arr in self._tensors.values())
 
 
 @dataclass(frozen=True)
@@ -146,12 +142,10 @@ def init_weights(seed=0):
     return WeightStore(tensors)
 
 
-def rectifier_parameter_count(w=None):
-    """Parameters of the rectifier proper (backbone stub excluded)."""
-    if w is None:
-        return sum(int(np.prod(shape)) for name, shape in WEIGHT_MANIFEST.items()
-                   if name.startswith(RECTIFIER_PREFIXES))
-    return w.parameter_count(RECTIFIER_PREFIXES)
+def rectifier_parameter_count():
+    """Parameters of the rectifier proper (backbone stub excluded), from WEIGHT_MANIFEST."""
+    return sum(int(np.prod(shape)) for name, shape in WEIGHT_MANIFEST.items()
+               if name.startswith(RECTIFIER_PREFIXES))
 
 
 def _conv(x, w, name, stride=1, pad=0, act=True):
@@ -222,7 +216,7 @@ def msfa_forward(bundle, w):
     a1 = _avgpool2x2(_conv(bundle.f1, w, "msfa.align1"))
     a2 = _conv(bundle.f2, w, "msfa.align2")
     a3 = _conv(bundle.f3, w, "msfa.align3")
-    x = tensor.concat(tensor.concat(a1, a2, axis=0), a3, axis=0)  # 192 x 16 x 64
+    x = np.concatenate([a1, a2, a3])  # 192 x 16 x 64
 
     x = _conv(x, w, "msfa.layer1")                       # 64 x 16 x 64
     x = _conv(x, w, "msfa.layer2", stride=2, pad=1)      # 64 x 8 x 32
@@ -257,7 +251,7 @@ def dgab_forward(pair, w):
 
     def branch(summary, name):
         # summary: (len, D) sequence; realign (len + K) -> len
-        cat = tensor.concat(summary, fe_seq, axis=0)
+        cat = np.concatenate([summary, fe_seq])
         aligned = tensor.matmul(w[f"dgab.seq_{name}.weight"], cat) \
             + w[f"dgab.seq_{name}.bias"][:, None].astype(np.float32)
         gate = tensor.sigmoid(aligned @ w[f"dgab.gate_{name}.weight"]

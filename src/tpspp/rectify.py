@@ -8,6 +8,8 @@ from .tensor import real_array
 from .tps import solve_transform
 from .warp import build_sampling_grid, check_lattice, check_source, warp
 
+GRID_STEP = 4  # deformation_grid_image marks every 4th location of each lattice axis
+
 
 def attention_for_lattice(attention, out_h, out_w):
     """Score row of each location of an out_h x out_w lattice, or None for no gather.
@@ -66,10 +68,10 @@ def annotate_points(image, grid):
     return img[None, :, :]
 
 
-def deformation_grid_image(sampling, src_h, src_w, step=4):
-    """Source-sized map with every step-th sampled location marked."""
+def deformation_grid_image(sampling, src_h, src_w):
+    """Source-sized map with every GRID_STEP-th sampled location of each axis marked."""
     img = np.zeros((src_h, src_w), dtype=np.float32)
-    coords = sampling.coords.reshape(sampling.height, sampling.width, 2)[::step, ::step]
+    coords = sampling.coords.reshape(sampling.height, sampling.width, 2)[::GRID_STEP, ::GRID_STEP]
     for px, py in _pixels(coords.reshape(-1, 2), src_h, src_w):
         img[py, px] = 1.0
     return img[None, :, :]

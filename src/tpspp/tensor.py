@@ -189,17 +189,3 @@ def sigmoid(x):
 def relu(x):
     x = np.asarray(x)
     return np.maximum(x, 0)
-
-
-def concat(a, b, axis):
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != b.ndim:
-        raise ShapeError(f"concat rank mismatch: {a.ndim} vs {b.ndim}")
-    if not -a.ndim <= axis < a.ndim:
-        raise ShapeError(f"axis {axis} out of range for rank {a.ndim}")
-    ax = axis % a.ndim
-    for d in range(a.ndim):
-        if d != ax and a.shape[d] != b.shape[d]:
-            raise ShapeError(f"concat shape mismatch on axis {d}: {a.shape} vs {b.shape}")
-    return np.concatenate([a, b], axis=ax)

@@ -40,10 +40,6 @@ PLAN_CACHE_BYTES = 32 << 20
 MAX_CONTROL_POINTS = 1024
 
 
-def _frozen(arr):
-    return tensor.read_only(np.ascontiguousarray(arr, dtype=np.float64))
-
-
 @dataclass(frozen=True)
 class ControlPointGrid:
     """K = rows*cols lattice points plus per-point regression offsets."""
@@ -106,11 +102,19 @@ def check_grid(rows, cols):
     return rows, cols
 
 
+def _check_points(grid):
+    """check_grid of a grid's extents; InvalidGridError unless its base and offsets are (K, 2)."""
+    rows, cols = check_grid(grid.rows, grid.cols)
+    shapes = np.shape(grid.base), np.shape(grid.offsets)
+    if shapes != ((rows * cols, 2),) * 2:
+        raise InvalidGridError(f"base and offsets of a {rows}x{cols} grid have shapes {shapes}")
+
+
 def make_grid(rows, cols):
     """Control-point grid on the uniform rows x cols lattice, zero offsets."""
     rows, cols = check_grid(rows, cols)
-    base = _frozen(output_lattice(rows, cols))
-    return ControlPointGrid(rows, cols, base, _frozen(np.zeros_like(base)))
+    base = tensor.read_only(output_lattice(rows, cols))
+    return ControlPointGrid(rows, cols, base, tensor.read_only(np.zeros_like(base)))
 
 
 def kernel_u(r):
@@ -138,7 +142,7 @@ def kernel_between(points, centers):
 
 def build_kernel_matrix(grid):
     """Read-only symmetric K x K matrix of kernel_u over pairwise base distances."""
-    return _frozen(kernel_between(grid.base, grid.base))
+    return tensor.read_only(kernel_between(grid.base, grid.base))
 
 
 def interpolation_system(grid):
@@ -146,9 +150,10 @@ def interpolation_system(grid):
 
     Rows 0..K-1 enforce interpolation of the regressed points; the last
     three rows are the side conditions sum(w) = sum(w*x) = sum(w*y) = 0.
-    A grid built with extents that make_grid rejects raises InvalidGridError (check_grid).
+    A grid whose extents fail check_grid, or whose base or offsets is not (K, 2), raises
+    InvalidGridError.
     """
-    check_grid(grid.rows, grid.cols)
+    _check_points(grid)
     k = grid.k
     p = np.hstack([np.ones((k, 1)), grid.base])  # (K, 3): [1, x, y]
     m = np.zeros((k + 3, k + 3))
@@ -177,7 +182,7 @@ class _PlanCache:
             if key in self._arrays:
                 self._arrays.move_to_end(key)
                 return self._arrays[key]
-        arr = _frozen(build())
+        arr = tensor.read_only(build())
         with self._lock:
             if key not in self._arrays:
                 self._arrays[key] = arr
@@ -221,10 +226,12 @@ def lattice_kernel(centers, out_h, out_w):
 def solve_transform(grid, lam=DEFAULT_LAMBDA, beta=DEFAULT_BETA):
     """Solve the interpolation system of a regressed grid for the transform.
 
-    A lam or beta that is not one finite real number raises ValidationError; a singular
-    system or a non-finite solution raises DegenerateGridError.
+    A lam or beta that is not one finite real number raises ValidationError; a grid that
+    interpolation_system rejects raises InvalidGridError before its plan is looked up; a
+    singular system or a non-finite solution raises DegenerateGridError.
     """
     lam, beta = tensor.real_scalar(lam, "lambda"), tensor.real_scalar(beta, "beta")
+    _check_points(grid)
     inv = system_inverse(grid)
     regressed = grid.regressed
     # a power of two scales exactly and keeps huge uniform points (e.g. +1e308 offsets, a
@@ -234,4 +241,4 @@ def solve_transform(grid, lam=DEFAULT_LAMBDA, beta=DEFAULT_BETA):
         w = np.ldexp(inv @ np.ldexp(regressed, -e), e)  # (K+3, 2), columns = (x, y)
     if not np.all(np.isfinite(w)):
         raise DegenerateGridError("control points yield a non-finite transform")
-    return TpsTransform(_frozen(w.T), grid.base, lam, beta)
+    return TpsTransform(tensor.read_only(np.ascontiguousarray(w.T)), grid.base, lam, beta)

@@ -166,8 +166,8 @@ def build_sampling_grid(transform, attention, out_h, out_w, *, rows=None):
 
 def check_source(source):
     """`source` as the (C,H,W) array warp samples: C, H, W >= 1, else ShapeError, and finite
-    integer or real floating values, in half its type's range if it is 64-bit or float32,
-    else ValidationError."""
+    integer or real floating values, in half its type's range if it is 64-bit or float32 and
+    in half of float64's if it is a long double, else ValidationError."""
     try:
         source = np.asarray(source)
     except ValueError as exc:  # ragged nesting
@@ -177,10 +177,13 @@ def check_source(source):
     if source.dtype.kind not in "iuf":
         raise ValidationError(f"warp samples integer or real floating maps, not {source.dtype}")
     # the four weights may sum to a few ulp over 1, so a source sampled in its own type's
-    # precision (float32, float64) or beyond float64's (int64, uint64) keeps half its type's
-    # range free: a weighted sum of its largest values would overflow it
-    info = np.finfo(source.dtype) if source.dtype.kind == "f" else np.iinfo(source.dtype)
-    half = source.itemsize == 8 or source.dtype == np.float32
+    # precision (float32, float64) or beyond float64's (int64, uint64, a long double) keeps
+    # half its range free: a weighted sum of its largest values would overflow it
+    if source.dtype.kind == "f":  # a long double is sampled in float64: bounded by its range
+        info = np.finfo(np.float64 if source.itemsize > 8 else source.dtype)
+    else:
+        info = np.iinfo(source.dtype)
+    half = source.itemsize >= 8 or source.dtype == np.float32
     least, most = (float(v) * (0.5 if half else 1.0) for v in (info.min, info.max))
     inside = (source >= least) & (source <= most)  # False for NaN
     if not inside.all():
@@ -198,7 +201,8 @@ def warp(source, grid, border="zeros"):
     The source must pass check_source. It is sampled in float32 if it is float32, else in
     float64: the framed map is a channels-last (pixels, C) table of that working dtype, and
     each location's four weights, computed in float64, are rounded to it once, so a float32
-    output is within about 6 * 2^-24 * max|source| of the exact bilinear value.
+    output is within about 6 * 2^-24 * max|source| of the exact bilinear value; an integer
+    output is rounded to nearest, as the cast back to its type would truncate.
     Output locations are walked in chunks of WARP_CHUNK_LOCATIONS, whose per-location setup
     (corner index, four weights) is computed once and freed before the next chunk; each
     chunk is gathered in blocks of WARP_BLOCK_ENTRIES // C locations into two reused
@@ -251,4 +255,6 @@ def _warp_chunk(framed, coords, out, h, w, lo, gathered, acc):
             np.take(table, corner[rows], axis=0, out=gathered[:n], mode="clip")
             gathered[:n] *= wgt[rows, None]
             acc[:n] += gathered[:n]
+        if out.dtype.kind in "iu":
+            np.rint(acc[:n], out=acc[:n])
         out[rows] = acc[:n]

@@ -40,8 +40,8 @@ def test_readme_example_runs():
 ENTRIES = (st.floats() | st.integers() | st.booleans() | st.none() | st.complex_numbers()
            | st.text(max_size=2) | st.binary(max_size=2))
 SCALARS = ENTRIES | st.just(10**400)  # an integer past float64's range
-DTYPES = st.sampled_from([np.float64, np.float32, np.float16, np.int64, np.uint8, np.bool_,
-                          np.complex128, "U2", "S2"])
+DTYPES = st.sampled_from([np.float64, np.float32, np.float16, np.longdouble, np.int64, np.uint8,
+                          np.bool_, np.complex128, "U2", "S2"])
 
 
 def values(shape):

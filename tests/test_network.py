@@ -189,10 +189,9 @@ class TestContracts:
         assert np.array_equal(a[1].offsets, b[1].offsets)
         assert np.array_equal(a[2].scores, b[2].scores)
 
-    def test_parameter_count_bracket(self, weights):
-        n = network.rectifier_parameter_count(weights)
+    def test_parameter_count_bracket(self):
+        n = network.rectifier_parameter_count()
         assert 2e5 <= n <= 1e6
-        assert n == network.rectifier_parameter_count()
 
     @pytest.mark.parametrize("bad", [np.array(["0.1"]), np.array([0.1j]), np.array([True])],
                              ids=["str", "complex", "bool"])

@@ -237,14 +237,6 @@ class TestActivations:
     def test_relu(self):
         assert np.array_equal(tensor.relu(np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 2.0])
 
-    def test_concat_shape_error(self):
-        with pytest.raises(ShapeError):
-            tensor.concat(np.zeros((2, 3)), np.zeros((2, 4)), axis=0)
-
-    def test_concat(self):
-        out = tensor.concat(np.zeros((2, 3)), np.ones((1, 3)), axis=0)
-        assert out.shape == (3, 3)
-
 
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=16))

@@ -181,6 +181,16 @@ class TestSolveTransform:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize("rows, cols, points, offsets", [
+        (4, 16, 3, (3, 2)), (2, 2, 4, (3, 2)), (2, 2, 4, (4, 3))])
+    def test_built_grid_of_wrong_shape_rejected(self, rows, cols, points, offsets):
+        tps.solve_transform(tps.make_grid(2, 2))  # a cached base never reaches the assembly
+        g = tps.ControlPointGrid(rows, cols, tps.output_lattice(rows, cols)[:points],
+                                 np.zeros(offsets))
+        for call in (tps.solve_transform, tps.interpolation_system):
+            with pytest.raises(InvalidGridError, match="shape"):
+                call(g)
+
     def test_identity(self):
         t = tps.solve_transform(tps.make_grid(4, 16))
         assert np.abs(t.t_matrix[:, 0]).max() <= 1e-9
@@ -281,7 +291,7 @@ def regressed_grids(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     grid = tps.make_grid(rows, cols)
     if draw(st.booleans()):  # a hand-built, non-uniform base gets its own plan
-        base = tps._frozen(grid.base + rng.uniform(-0.05, 0.05, grid.base.shape))
+        base = grid.base + rng.uniform(-0.05, 0.05, grid.base.shape)
         grid = tps.ControlPointGrid(rows, cols, base, grid.offsets)
     amplitude = draw(st.sampled_from([0.0, 0.1, 1.0]))
     return grid.with_offsets(rng.uniform(-amplitude, amplitude, grid.base.shape))

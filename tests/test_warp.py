@@ -379,8 +379,9 @@ class TestOverlays:
 
     @pytest.mark.parametrize("bad", [1e308, -1e308, 5.0, -1.5])
     def test_grid_locations_outside_skipped(self, bad):
-        coords = np.array([[-1.0, -1.0], [bad, 0.0], [0.0, bad], [1.0, 1.0]])
-        img = deformation_grid_image(SamplingGrid(1, 4, coords), 5, 7, step=1)
+        coords = np.zeros((13, 2))  # of a 1x13 lattice, locations 0, 4, 8 and 12 are marked
+        coords[::4] = [[-1.0, -1.0], [bad, 0.0], [0.0, bad], [1.0, 1.0]]
+        img = deformation_grid_image(SamplingGrid(1, 13, coords), 5, 7)
         assert np.array_equal(np.argwhere(img[0] == 1.0), [[0, 0], [4, 6]])
 
 
@@ -484,6 +485,36 @@ class TestWarp:
             half = np.full((1, 3, 3), info.max // 2 if dtype != np.float64 else info.max / 2, dtype)
             for border in ("zeros", "clamp"):
                 assert np.all(np.isfinite(warp(half, SamplingGrid(1, 1000, coords), border)))
+
+    def test_long_double_source_keeps_half_of_float64s_range(self):
+        # a long double is sampled in float64: past float64's range it would warp to inf
+        grid = SamplingGrid(1, 1, np.zeros((1, 2)))
+        for value in (np.longdouble("1e4000"), np.longdouble(np.finfo(np.float64).max)):
+            src = np.full((1, 4, 4), value)
+            with pytest.raises(ValidationError, match="outside"):
+                warp(src, grid)
+            with pytest.raises(ValidationError, match="outside"):
+                rectify_map(src, tps.make_grid(2, 2), None, 0.5, 1.0, 3, 4)
+        half = np.full((1, 4, 4), np.longdouble(np.finfo(np.float64).max / 2))
+        assert np.all(np.isfinite(warp(half, grid)))
+
+    @pytest.mark.parametrize("border", ["zeros", "clamp"])
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.int32, np.int64])
+    def test_integer_map_rounded_to_nearest(self, border, dtype):
+        # the cast back to an integer type truncates: the weighted sum is rounded before it
+        info = np.iinfo(dtype)
+        rng = np.random.default_rng(23)
+        src = np.full((2, 8, 8), 7, dtype)
+        src[1] = rng.integers(max(info.min, -1000), min(info.max, 1000), (8, 8), endpoint=True)
+        coords = rng.uniform(-1.1, 1.1, (4096, 2))
+        out = warp(src, SamplingGrid(64, 64, coords), border=border).reshape(2, -1)
+        assert out.dtype == dtype
+        inside = np.all(np.abs(coords) <= 1.0, axis=1) | (border == "clamp")  # no zeros read
+        assert np.all(out[0, inside] == 7)
+        px, py = (coords[:, 0] + 1.0) / 2.0 * 7, (coords[:, 1] + 1.0) / 2.0 * 7
+        ref = np.array([bilinear_sample_scalar(src[1], x, y, border) for x, y in zip(px, py)])
+        clear = np.abs(ref - np.floor(ref) - 0.5) > 1e-9  # off a half-integer, rint is one value
+        assert np.array_equal(out[1, clear], np.rint(ref[clear]))
 
     @pytest.mark.parametrize("border", ["zeros", "clamp"])
     def test_float32_map_within_float32_precision(self, border):

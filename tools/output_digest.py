@@ -7,6 +7,13 @@ comparing them takes one diff:
     (cd ../parent && python3 tools/output_digest.py) > old.txt
     diff old.txt new.txt
 
+`output_digest.txt` beside this file holds the lines the tree prints
+(numpy 2.4 with its bundled OpenBLAS 0.3.31 on x86-64, at 1 or 2 threads);
+`tests/test_tools.py` compares against it. A change that alters an output
+on purpose regenerates it:
+
+    python3 tools/output_digest.py > tools/output_digest.txt
+
 The set covers the paper's full path and the network-free one:
 - `rectify_with_network` with `init_weights(3)` and a seeded nonzero
   `aipe.offset2`, on stripe images at out-sizes 32x128, 16x64, 32x32, 8x128;
