@@ -21,7 +21,7 @@ import numpy as np
 from . import fileio, network, selftest, synth
 from .errors import DegenerateGridError, SingularMatrixError, TpsError, ValidationError
 from .rectify import annotate_points, deformation_grid_image, rectify_map, rectify_with_network
-from .tps import DEFAULT_BETA, DEFAULT_COLS, DEFAULT_LAMBDA, DEFAULT_ROWS, make_grid
+from .tps import DEFAULT_BETA, DEFAULT_LAMBDA, make_grid
 
 EXIT_OK = 0
 EXIT_SELFTEST = 1
@@ -32,12 +32,12 @@ _DEGENERATE_ERRORS = (DegenerateGridError, SingularMatrixError)  # checked first
 _VALIDATION_ERRORS = (TpsError, OSError)  # OSError: a path that cannot be read or written
 
 
-def _parse_pair(text, sep, what):
+def _parse_pair(text, what):
     try:
-        a, b = text.lower().split(sep)
+        a, b = text.lower().split("x")
         return int(a), int(b)
     except ValueError:
-        raise ValidationError(f"cannot parse {what} {text!r}, expected e.g. 4{sep}16") from None
+        raise ValidationError(f"cannot parse {what} {text!r}, expected e.g. 4x16") from None
 
 
 def _sibling(path, suffix):
@@ -48,24 +48,19 @@ def _sibling(path, suffix):
 def cmd_rectify(args):
     if (args.points is None) == (args.weights is None):
         raise ValidationError("exactly one of --points / --weights is required")
-    grid_shape = None if args.grid is None else _parse_pair(args.grid, "x", "--grid")
     image = fileio.load_image(args.image)
     src_h, src_w = image.shape[1], image.shape[2]
     out_h, out_w = (src_h, src_w) if args.out_size is None \
-        else _parse_pair(args.out_size, "x", "--out-size")
+        else _parse_pair(args.out_size, "--out-size")
 
     if args.points is not None:
         grid, attention, file_lam, file_beta = fileio.import_grid_json(args.points)
         lam = file_lam if args.lam is None else args.lam
         beta = file_beta if args.beta is None else args.beta
-        if grid_shape not in (None, (grid.rows, grid.cols)):
-            raise ValidationError(f"--grid {args.grid} conflicts with points file "
-                                  f"{grid.rows}x{grid.cols}")
         out, sampling = rectify_map(image, grid, attention, lam, beta,
                                     out_h, out_w, border=args.border)
     else:
-        grid = make_grid(*(grid_shape or (DEFAULT_ROWS, DEFAULT_COLS)))
-        network.check_control_points(grid)  # before the weights are read
+        grid = make_grid(network.ENC_H, network.ENC_W)
         lam = DEFAULT_LAMBDA if args.lam is None else args.lam
         beta = DEFAULT_BETA if args.beta is None else args.beta
         weights = fileio.load_weights(args.weights)
@@ -120,7 +115,6 @@ def build_parser():
     p.add_argument("--out", required=True, help="output PGM path")
     p.add_argument("--overlay", action="store_true",
                    help="also write control-point and deformation-grid images")
-    p.add_argument("--grid", help="control grid as RxC (default 4x16)")
     p.add_argument("--lambda", dest="lam", type=float, default=None,
                    help="attention weighting strength (default 0.5)")
     p.add_argument("--beta", type=float, default=None, help="kernel bias term (default 1.0)")

@@ -16,19 +16,28 @@ import numpy as np
 from .errors import DuplicateEntryError, FormatError, TruncationError, ValidationError
 from .network import WeightStore
 from .tensor import read_only, real_array, real_scalar
-from .tps import DEFAULT_BETA, DEFAULT_LAMBDA, make_grid
+from .tps import DEFAULT_BETA, DEFAULT_LAMBDA, ControlPointGrid
 from .warp import AttentionMatrix
 
 MAGIC = b"TPSW"
 VERSION = 1
+MAX_RANK = 4
 
 
 def save_weights(w, path):
+    """Write a WeightStore as TPSW; FormatError, before the file is opened, for a name that is
+    not a string or a tensor that load_weights would reject."""
     blob = bytearray()
     blob += MAGIC
     blob += struct.pack("<II", VERSION, len(w))
     for name, arr in w.items():
-        encoded = name.encode("utf-8")
+        try:
+            encoded = name.encode("utf-8")
+        except (AttributeError, UnicodeEncodeError):  # not a str; a lone surrogate
+            raise FormatError(f"tensor name {name!r} is not a UTF-8 string") from None
+        if not 1 <= arr.ndim <= MAX_RANK or 0 in arr.shape:
+            raise FormatError(f"tensor {name!r} has shape {arr.shape}; a TPSW tensor has rank "
+                              f"1..{MAX_RANK} and no zero extent")
         blob += struct.pack("<I", len(encoded))
         blob += encoded
         blob += struct.pack("<I", arr.ndim)
@@ -72,8 +81,8 @@ def load_weights(path):
         except UnicodeDecodeError as exc:
             raise FormatError(f"tensor name is not valid UTF-8: {exc}") from exc
         rank = r.u32()
-        if rank < 1 or rank > 4:
-            raise FormatError(f"tensor {name!r} has rank {rank}, expected 1..4")
+        if rank < 1 or rank > MAX_RANK:
+            raise FormatError(f"tensor {name!r} has rank {rank}, expected 1..{MAX_RANK}")
         dims = [r.u32() for _ in range(rank)]
         if any(d == 0 for d in dims):
             raise FormatError(f"tensor {name!r} has a zero extent {dims}")
@@ -210,7 +219,7 @@ def import_grid_json(path):
     scores = None if scores is None else read_only(real_array(scores, "attention"))
     if base.shape != (rows * cols, 2):
         raise ValidationError(f"base shape {base.shape} != ({rows * cols}, 2)")
-    grid = make_grid(rows, cols)
+    grid = ControlPointGrid(rows, cols, offsets)
     if not np.all(np.abs(base - grid.base) <= 1e-9):  # False for NaN too
         raise ValidationError("base points do not form the uniform [-1,1] lattice")
 
@@ -219,4 +228,4 @@ def import_grid_json(path):
         if scores.ndim != 2 or scores.shape[1] != grid.k:
             raise ValidationError(f"attention shape {scores.shape} incompatible with K={grid.k}")
         attention = AttentionMatrix(scores)
-    return grid.with_offsets(offsets), attention, lam, beta
+    return grid, attention, lam, beta

@@ -266,9 +266,9 @@ def dgab_forward(pair, w):
 
 
 def check_control_points(grid):
-    """ShapeError unless the grid has the ENC_H * ENC_W points the offset head regresses."""
-    if grid.k != ENC_H * ENC_W:
-        raise ShapeError(f"grid K={grid.k} does not match encoded extent {ENC_H * ENC_W}")
+    """ShapeError unless the grid is the ENC_H x ENC_W lattice, one point per encoded position."""
+    if (grid.rows, grid.cols) != (ENC_H, ENC_W):
+        raise ShapeError(f"grid {grid.rows}x{grid.cols} is not the encoded {ENC_H}x{ENC_W}")
 
 
 def aipe_forward(pair, w, grid):
@@ -288,7 +288,7 @@ def aipe_forward(pair, w, grid):
 
 
 def rectification_forward(image, w, grid):
-    """Full chain: backbone, aggregation, parameter estimation; the grid's K is checked first.
+    """Full chain: backbone, aggregation, parameter estimation, once the grid's extents pass.
     Overflow is not reported: non-finite offsets or scores raise ValidationError instead."""
     check_control_points(grid)
     with np.errstate(over="ignore", invalid="ignore"):

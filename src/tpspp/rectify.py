@@ -42,7 +42,7 @@ def rectify_map(source, grid, attention, lam, beta, out_h, out_w, border="zeros"
 
 
 def rectify_with_network(image, weights, grid, lam, beta, out_h, out_w, border="zeros"):
-    """Check the output lattice and the grid's K, run the forward networks, rectify the image."""
+    """Check the output lattice and the encoder's grid, run the forward networks, rectify."""
     image = real_array(image, "image")
     check_lattice(out_h, out_w, grid.k, image.itemsize)  # the network takes (1,H,W) images
     _, regressed, attention = network.rectification_forward(image, weights, grid)

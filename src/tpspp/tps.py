@@ -6,16 +6,16 @@ points; the right-hand side holds the REGRESSED points, so zero offsets
 solve to the identity map. RBF centers for later evaluation are the
 base points.
 
-What only the lattice decides is built once and cached: the inverse of the
-interpolation system per base lattice (`system_inverse`), and the kernel of
-an output lattice per base lattice and extents (`lattice_kernel`). A
-request then only multiplies its regressed points and attention into them.
+What only the grid extents decide is built once and cached: the base lattice,
+the inverse of the interpolation system (`system_inverse`), and the kernel of
+an output lattice per base lattice and extents (`lattice_kernel`). A request
+then only multiplies its regressed points and attention into them.
 """
 
 import operator
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,8 +23,6 @@ from . import tensor
 from .errors import (DegenerateGridError, DomainError, InvalidGridError, SingularMatrixError,
                      ValidationError)
 
-DEFAULT_ROWS = 4
-DEFAULT_COLS = 16
 DEFAULT_LAMBDA = 0.5
 DEFAULT_BETA = 1.0
 
@@ -42,12 +40,29 @@ MAX_CONTROL_POINTS = 1024
 
 @dataclass(frozen=True)
 class ControlPointGrid:
-    """K = rows*cols lattice points plus per-point regression offsets."""
+    """K = rows*cols points of the lattice check_grid admits, plus their (K, 2) offsets.
+
+    The base is derived from the extents, never supplied. Bad extents or offsets not (K, 2)
+    raise InvalidGridError; offsets that are not finite real numbers raise ValidationError.
+    """
 
     rows: int
     cols: int
-    base: np.ndarray     # (K, 2) lattice, row-major over (row, col)
     offsets: np.ndarray  # (K, 2)
+    base: np.ndarray = field(init=False)  # (K, 2) lattice, row-major over (row, col)
+
+    def __post_init__(self):
+        rows, cols = check_grid(self.rows, self.cols)
+        offsets = tensor.frozen_real_array(self.offsets, "offsets", np.float64)
+        if offsets.shape != (rows * cols, 2):
+            raise InvalidGridError(f"offsets shape {offsets.shape} != ({rows * cols}, 2)")
+        if not np.all(np.isfinite(offsets)):
+            raise ValidationError("offsets contain non-finite values")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "base",
+                           _PLANS.get(("base", rows, cols), lambda: output_lattice(rows, cols)))
 
     @property
     def k(self):
@@ -58,12 +73,7 @@ class ControlPointGrid:
         return self.base + self.offsets
 
     def with_offsets(self, offsets):
-        offsets = tensor.frozen_real_array(offsets, "offsets", np.float64)
-        if offsets.shape != self.base.shape:
-            raise InvalidGridError(f"offsets shape {offsets.shape} != {self.base.shape}")
-        if not np.all(np.isfinite(offsets)):
-            raise ValidationError("offsets contain non-finite values")
-        return ControlPointGrid(self.rows, self.cols, self.base, offsets)
+        return ControlPointGrid(self.rows, self.cols, offsets)
 
 
 @dataclass(frozen=True)
@@ -102,19 +112,10 @@ def check_grid(rows, cols):
     return rows, cols
 
 
-def _check_points(grid):
-    """check_grid of a grid's extents; InvalidGridError unless its base and offsets are (K, 2)."""
-    rows, cols = check_grid(grid.rows, grid.cols)
-    shapes = np.shape(grid.base), np.shape(grid.offsets)
-    if shapes != ((rows * cols, 2),) * 2:
-        raise InvalidGridError(f"base and offsets of a {rows}x{cols} grid have shapes {shapes}")
-
-
 def make_grid(rows, cols):
     """Control-point grid on the uniform rows x cols lattice, zero offsets."""
-    rows, cols = check_grid(rows, cols)
-    base = tensor.read_only(output_lattice(rows, cols))
-    return ControlPointGrid(rows, cols, base, tensor.read_only(np.zeros_like(base)))
+    rows, cols = check_grid(rows, cols)  # before the offsets are allocated
+    return ControlPointGrid(rows, cols, tensor.read_only(np.zeros((rows * cols, 2))))
 
 
 def kernel_u(r):
@@ -150,10 +151,7 @@ def interpolation_system(grid):
 
     Rows 0..K-1 enforce interpolation of the regressed points; the last
     three rows are the side conditions sum(w) = sum(w*x) = sum(w*y) = 0.
-    A grid whose extents fail check_grid, or whose base or offsets is not (K, 2), raises
-    InvalidGridError.
     """
-    _check_points(grid)
     k = grid.k
     p = np.hstack([np.ones((k, 1)), grid.base])  # (K, 3): [1, x, y]
     m = np.zeros((k + 3, k + 3))
@@ -196,7 +194,7 @@ _PLANS = _PlanCache(PLAN_CACHE_BYTES)
 
 
 def system_inverse(grid):
-    """Read-only (K+3) x K inverse of the grid's interpolation system, cached by its base lattice.
+    """Read-only (K+3) x K inverse of the grid's interpolation system, cached by its extents.
 
     The system's right-hand side is zero below row K, so the transform of any regressed
     points is this inverse times them. A singular system raises DegenerateGridError.
@@ -208,8 +206,7 @@ def system_inverse(grid):
         except SingularMatrixError as exc:
             raise DegenerateGridError(f"control points yield a singular system: {exc}") from exc
 
-    base = np.ascontiguousarray(grid.base, dtype=np.float64)
-    return _PLANS.get(("inverse", base.tobytes()), build)
+    return _PLANS.get(("inverse", grid.rows, grid.cols), build)
 
 
 def lattice_kernel(centers, out_h, out_w):
@@ -226,12 +223,10 @@ def lattice_kernel(centers, out_h, out_w):
 def solve_transform(grid, lam=DEFAULT_LAMBDA, beta=DEFAULT_BETA):
     """Solve the interpolation system of a regressed grid for the transform.
 
-    A lam or beta that is not one finite real number raises ValidationError; a grid that
-    interpolation_system rejects raises InvalidGridError before its plan is looked up; a
-    singular system or a non-finite solution raises DegenerateGridError.
+    A lam or beta that is not one finite real number raises ValidationError; a singular
+    system or a non-finite solution raises DegenerateGridError.
     """
     lam, beta = tensor.real_scalar(lam, "lambda"), tensor.real_scalar(beta, "beta")
-    _check_points(grid)
     inv = system_inverse(grid)
     regressed = grid.regressed
     # a power of two scales exactly and keeps huge uniform points (e.g. +1e308 offsets, a

@@ -1,6 +1,7 @@
 """The package's public surface: the names the README documents, its example, and a fuzz of
 the library entries, each of which must return finite output or raise a TpsError."""
 
+import argparse
 import re
 import warnings
 from pathlib import Path
@@ -12,10 +13,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import tpspp
-from tpspp import network, synth
+from tpspp import cli, network, synth
 from tpspp.errors import TpsError
 from tpspp.rectify import rectify_map, rectify_with_network
-from tpspp.tps import make_grid, solve_transform
+from tpspp.tps import ControlPointGrid, make_grid, solve_transform
 from tpspp.warp import AttentionMatrix, SamplingGrid, map_point
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -34,6 +35,16 @@ def test_readme_example_runs():
     scope = {}
     exec(compile(blocks[0], "README.md", "exec"), scope)
     assert scope["p"].shape == (2,) and np.all(np.isfinite(scope["p"]))
+
+
+def test_readme_cli_flags_are_parser_options():
+    # a flag the parser no longer has must not linger in the docs
+    section = README.split("\n## CLI\n")[1].split("\n## ")[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    options = {o for p in sub.choices.values() for a in p._actions for o in a.option_strings}
+    assert "--points" in named and named <= options, named - options
 
 
 # every kind of entry a caller might pass where real numbers are expected
@@ -63,6 +74,12 @@ TRANSFORM = solve_transform(GRID)
 def _call(entry, draw):
     if entry == "with_offsets":
         return make_grid(2, 2).with_offsets(draw(values((4, 2)))).offsets
+    if entry == "ControlPointGrid":
+        extents = st.integers(-1, 5) | st.sampled_from([2.0, 4.5, "2", None, np.int32(2), 10**5])
+        rows, cols = draw(extents), draw(extents)
+        ints = all(isinstance(n, (int, np.integer)) for n in (rows, cols))
+        k = int(rows * cols) if ints and 0 < rows * cols <= 25 else 4  # never K = 10^10
+        return solve_transform(ControlPointGrid(rows, cols, draw(values((k, 2))))).t_matrix
     if entry == "AttentionMatrix":
         return AttentionMatrix(draw(values((3, 4)))).scores
     if entry == "SamplingGrid":
@@ -91,8 +108,9 @@ def _finite_or_typed(call):
 
 
 @settings(max_examples=400, deadline=None)
-@given(entry=st.sampled_from(["with_offsets", "AttentionMatrix", "SamplingGrid",
-                              "solve_transform", "map_point", "rectify_map"]), data=st.data())
+@given(entry=st.sampled_from(["ControlPointGrid", "with_offsets", "AttentionMatrix",
+                              "SamplingGrid", "solve_transform", "map_point", "rectify_map"]),
+       data=st.data())
 def test_library_entries_finite_or_typed(entry, data):
     _finite_or_typed(lambda: _call(entry, data.draw))
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -48,6 +49,18 @@ class TestWeights:
             {"z": np.zeros(1), "a": np.zeros(1)}), p)
         blob = p.read_bytes()
         assert blob.index(b"a") < blob.index(b"z")
+
+    # a store the reader would reject: rank 5, a zero extent, a name that is not a string or
+    # not encodable as UTF-8
+    @pytest.mark.parametrize("name, arr", [
+        ("r5", np.ones((1, 1, 1, 1, 2))), ("empty", np.ones((3, 0))), (7, np.ones(2)),
+        ("\ud800", np.ones(2))], ids=["rank-5", "zero-extent", "int-name", "surrogate-name"])
+    def test_unreadable_store_not_written(self, tmp_path, name, arr):
+        p = tmp_path / "w.tpsw"
+        store = network.WeightStore({name: arr})
+        with pytest.raises(FormatError, match=re.escape(repr(name))):
+            fileio.save_weights(store, p)
+        assert not p.exists()
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "w.tpsw"

@@ -231,6 +231,8 @@ class TestRectifyWithNetwork:
 
     @pytest.mark.parametrize("rows, cols, out_h, out_w, error", [
         (3, 16, 32, 128, ShapeError),                 # K = 48, the offset head regresses 64
+        (2, 32, 32, 128, ShapeError),                 # K = 64 on other extents than the 4x16
+        (8, 8, 32, 128, ShapeError),                  # encoded positions the network regresses
         (4, 16, 100000, 100000, ValidationError)])    # 10^10 locations, over the lattice bounds
     def test_rejected_before_the_forward(self, weights, image, rows, cols, out_h, out_w, error):
         grid = make_grid(rows, cols)

@@ -170,26 +170,38 @@ class TestSolveTransform:
         assert tps.MAX_CONTROL_POINTS == 1024 and m.shape == (1027, 1027)
 
     def test_built_grid_bounded_before_allocation(self):
-        base = tps.output_lattice(150, 150)  # a grid make_grid would not build
-        g = tps.ControlPointGrid(150, 150, base, np.zeros_like(base))
+        offsets = np.zeros((22500, 2))  # of a grid make_grid would not build
         tracemalloc.start()
         try:
             with pytest.raises(InvalidGridError, match="22500 points"):
-                tps.solve_transform(g)
+                tps.ControlPointGrid(150, 150, offsets)  # before the offsets are converted
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
 
-    @pytest.mark.parametrize("rows, cols, points, offsets", [
-        (4, 16, 3, (3, 2)), (2, 2, 4, (3, 2)), (2, 2, 4, (4, 3))])
-    def test_built_grid_of_wrong_shape_rejected(self, rows, cols, points, offsets):
-        tps.solve_transform(tps.make_grid(2, 2))  # a cached base never reaches the assembly
-        g = tps.ControlPointGrid(rows, cols, tps.output_lattice(rows, cols)[:points],
-                                 np.zeros(offsets))
-        for call in (tps.solve_transform, tps.interpolation_system):
-            with pytest.raises(InvalidGridError, match="shape"):
-                call(g)
+    @pytest.mark.parametrize("rows, cols, offsets", [(4, 16, (3, 2)), (2, 2, (3, 2)),
+                                                     (2, 2, (4, 3)), (2, 2, (8,))])
+    def test_built_grid_of_wrong_shape_rejected(self, rows, cols, offsets):
+        with pytest.raises(InvalidGridError, match="shape"):
+            tps.ControlPointGrid(rows, cols, np.zeros(offsets))
+        with pytest.raises(InvalidGridError, match="shape"):
+            tps.make_grid(rows, cols).with_offsets(np.zeros(offsets))
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.float32])
+    def test_built_grid_of_any_real_dtype_solves(self, dtype):
+        # the base is the float64 lattice whatever the offsets' dtype, so zeros are the identity
+        t = tps.solve_transform(tps.ControlPointGrid(2, 2, np.zeros((4, 2), dtype)))
+        np.testing.assert_allclose(t.t_matrix[:, :3], [[0, 1, 0], [0, 0, 1]], atol=1e-12)
+        assert np.abs(t.t_matrix[:, 3:]).max() <= 1e-12
+
+    def test_base_is_derived_and_shared(self):
+        g = tps.ControlPointGrid(np.int64(4), 16, np.zeros((64, 2)))
+        assert type(g.rows) is int and not g.base.flags.writeable
+        assert g.with_offsets(np.ones((64, 2))).base is g.base
+        np.testing.assert_array_equal(g.base, tps.output_lattice(4, 16))
+        with pytest.raises(TypeError):
+            tps.ControlPointGrid(4, 16, g.base, np.zeros((64, 2)))  # a base is never supplied
 
     def test_identity(self):
         t = tps.solve_transform(tps.make_grid(4, 16))
@@ -286,13 +298,10 @@ class TestSolveTransform:
 
 @st.composite
 def regressed_grids(draw):
-    """A 2x2, 3x5, 4x16 or 8x8 grid with seeded offsets, half of them on a jittered base."""
+    """A 2x2, 3x5, 4x16 or 8x8 grid with seeded offsets."""
     rows, cols = draw(st.sampled_from([(2, 2), (3, 5), (4, 16), (8, 8)]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     grid = tps.make_grid(rows, cols)
-    if draw(st.booleans()):  # a hand-built, non-uniform base gets its own plan
-        base = grid.base + rng.uniform(-0.05, 0.05, grid.base.shape)
-        grid = tps.ControlPointGrid(rows, cols, base, grid.offsets)
     amplitude = draw(st.sampled_from([0.0, 0.1, 1.0]))
     return grid.with_offsets(rng.uniform(-amplitude, amplitude, grid.base.shape))
 
@@ -334,7 +343,7 @@ class TestLatticePlan:
             tps.solve_transform(regressed)
             assert tps.lattice_kernel(regressed.base.copy(), 16, 64) is u
         assert len(solves) == 1
-        assert plans.nbytes == self.retained(plans) == inv.nbytes + u.nbytes
+        assert plans.nbytes == self.retained(plans) == g.base.nbytes + inv.nbytes + u.nbytes
 
     def test_retained_bytes_within_budget(self, monkeypatch):
         budget = 3 * 8 * 64 * 64  # three 8x8 lattices with K = 64
@@ -359,7 +368,7 @@ class TestLatticePlan:
         assert tps.lattice_kernel(g.base, 16, 16) is None
         assert builds == []
         assert tps.lattice_kernel(g.base, 8, 8) is small
-        assert cache.nbytes == small.nbytes
+        assert cache.nbytes == g.base.nbytes + small.nbytes
 
     def test_inverse_at_max_control_points_fits(self):
         k = tps.MAX_CONTROL_POINTS
@@ -370,7 +379,7 @@ class TestLatticePlan:
             with pytest.raises(DegenerateGridError):
                 tps.solve_transform(tps.make_grid(1, 4))
             assert len(solves) == n  # a failure is not cached
-        assert plans.nbytes == 0 and not plans._arrays
+        assert list(plans._arrays) == [("base", 1, 4)] and plans.nbytes == 4 * 2 * 8
 
     def test_concurrent_lookups_keep_the_count(self, monkeypatch):
         cache = tps._PlanCache(2 * 8 * (64 + 67) * 64)  # two 64-location kernels beside inverses
