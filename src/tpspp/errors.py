@@ -21,10 +21,6 @@ class DegenerateGridError(TpsError):
     """Control-point configuration yields a singular interpolation system."""
 
 
-class DomainError(TpsError):
-    """Scalar argument outside the mathematical domain of a function."""
-
-
 class MissingParameterError(TpsError):
     """A forward pass requested a weight name absent from the store."""
 

@@ -25,16 +25,13 @@ MAX_RANK = 4
 
 
 def save_weights(w, path):
-    """Write a WeightStore as TPSW; FormatError, before the file is opened, for a name that is
-    not a string or a tensor that load_weights would reject."""
+    """Write a WeightStore as TPSW; FormatError, before the file is opened, for a tensor that
+    load_weights would reject."""
     blob = bytearray()
     blob += MAGIC
     blob += struct.pack("<II", VERSION, len(w))
     for name, arr in w.items():
-        try:
-            encoded = name.encode("utf-8")
-        except (AttributeError, UnicodeEncodeError):  # not a str; a lone surrogate
-            raise FormatError(f"tensor name {name!r} is not a UTF-8 string") from None
+        encoded = name.encode("utf-8")
         if not 1 <= arr.ndim <= MAX_RANK or 0 in arr.shape:
             raise FormatError(f"tensor {name!r} has shape {arr.shape}; a TPSW tensor has rank "
                               f"1..{MAX_RANK} and no zero extent")

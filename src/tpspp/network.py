@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor
-from .errors import MissingParameterError, ShapeError
+from .errors import MissingParameterError, ShapeError, ValidationError
 from .warp import AttentionMatrix
 
 D = 64                 # shared channel width of encoded/decoded features
@@ -32,11 +32,15 @@ class DecodedAttention(AttentionMatrix):
 
 
 class WeightStore:
-    """Immutable name -> float32 tensor map for network parameters."""
+    """Immutable name -> float32 tensor map; a name must be a str that encodes as UTF-8."""
 
     def __init__(self, tensors):
         store = {}
         for name, arr in tensors.items():
+            try:
+                str.encode(name, "utf-8")  # TypeError unless a str; a lone surrogate fails
+            except (TypeError, UnicodeEncodeError):
+                raise ValidationError(f"weight name {name!r} is not a UTF-8 string") from None
             with np.errstate(over="ignore"):  # past float32's range is inf, as in the forward
                 store[name] = tensor.frozen_real_array(arr, name, np.float32)
         self._tensors = store

@@ -64,6 +64,12 @@ def conv2d_loops(x, kernel, bias, stride=1, pad=0):
     return out
 
 
+def kernel_u(r):
+    """Thin-plate radial kernel U(r) = r^2 * ln(r^2), U(0) = 0; checks tps.kernel_between."""
+    r2 = np.square(np.asarray(r, dtype=np.float64))
+    return np.where(r2 > 0, r2 * np.log(np.where(r2 > 0, r2, 1.0)), 0.0)
+
+
 class ClassicTps:
     """Classic thin-plate spline interpolator, set up from scratch.
 
@@ -101,9 +107,7 @@ class ClassicTps:
         """Vectorized evaluation of f at an (N, 2) batch of points."""
         points = np.asarray(points, dtype=np.float64)
         d = points[:, None, :] - self.sources[None, :, :]
-        r2 = (d * d).sum(axis=2)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            u = np.where(r2 > 0, r2 * np.log(np.where(r2 > 0, r2, 1.0)), 0.0)
+        u = kernel_u(np.sqrt((d * d).sum(axis=2)))
         affine = self.coef[0] + points @ self.coef[1:3]
         return affine + u @ self.coef[3:]
 

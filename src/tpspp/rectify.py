@@ -15,8 +15,9 @@ def attention_for_lattice(attention, out_h, out_w):
     """Score row of each location of an out_h x out_w lattice, or None for no gather.
 
     None: no scores (read as all-zero), or one row per location. Scores on the decoded
-    16x64 lattice, always the network's, give each location's nearest-neighbor decoded
-    row, flat; any other row count raises ValidationError.
+    16x64 lattice, always the network's, give location (i, j) decoded row (floor(i*16/out_h),
+    floor(j*64/out_w)), flat: mirror-symmetric at multiples of 16x64, the align-corners
+    nearest only at 16 or 32 rows and 64 or 128 columns. Other row counts raise ValidationError.
     """
     m = out_h * out_w
     if attention is None or (attention.m_locations == m
@@ -26,8 +27,8 @@ def attention_for_lattice(attention, out_h, out_w):
         raise ValidationError(
             f"attention has {attention.m_locations} rows; expected {m} or "
             f"{network.DEC_H * network.DEC_W}")
-    ri = np.minimum((np.arange(out_h) * network.DEC_H) // out_h, network.DEC_H - 1)
-    ci = np.minimum((np.arange(out_w) * network.DEC_W) // out_w, network.DEC_W - 1)
+    ri = (np.arange(out_h) * network.DEC_H) // out_h  # i < out_h, so ri < DEC_H
+    ci = (np.arange(out_w) * network.DEC_W) // out_w
     return (ri[:, None] * network.DEC_W + ci).ravel()
 
 

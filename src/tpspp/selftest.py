@@ -12,7 +12,7 @@ import numpy as np
 from . import fileio, network, oracles, synth, tensor
 from .errors import FormatError, TpsError
 from .rectify import rectify_map
-from .tps import (build_kernel_matrix, interpolation_system, kernel_u, make_grid,
+from .tps import (build_kernel_matrix, interpolation_system, kernel_between, make_grid,
                   output_lattice, solve_transform)
 from .warp import SamplingGrid, map_point, warp
 
@@ -276,9 +276,9 @@ def suite_synthetic_rectification():
 
 
 def suite_kernel_values():
-    _check(kernel_u(0.0) == 0.0, "U(0) != 0")
-    _check(kernel_u(1.0) == 0.0, "U(1) != 0")
-    _check(abs(kernel_u(np.sqrt(np.e)) - np.e) <= 1e-12, "U(sqrt(e)) != e")
+    u = kernel_between(np.array([[0.0, 0.0], [1.0, 0.0], [np.sqrt(np.e), 0.0]]), np.zeros((1, 2)))
+    _check(u[0, 0] == u[1, 0] == 0.0, "U(0) or U(1) != 0")
+    _check(abs(u[2, 0] - np.e) <= 1e-12, "U(sqrt(e)) != e")
     s = build_kernel_matrix(make_grid(4, 16))
     _check(np.array_equal(s, s.T) and np.all(np.diag(s) == 0), "kernel matrix asymmetric")
     return "closed-form values and exact symmetry"

@@ -6,10 +6,10 @@ points; the right-hand side holds the REGRESSED points, so zero offsets
 solve to the identity map. RBF centers for later evaluation are the
 base points.
 
-What only the grid extents decide is built once and cached: the base lattice,
-the inverse of the interpolation system (`system_inverse`), and the kernel of
-an output lattice per base lattice and extents (`lattice_kernel`). A request
-then only multiplies its regressed points and attention into them.
+What only the extents decide is built once and cached: every lattice (`output_lattice`),
+the inverse of the interpolation system (`system_inverse`), and the kernel of an output
+lattice per base lattice and extents (`lattice_kernel`). A request then only multiplies
+its regressed points and attention into them.
 """
 
 import operator
@@ -20,16 +20,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor
-from .errors import (DegenerateGridError, DomainError, InvalidGridError, SingularMatrixError,
-                     ValidationError)
+from .errors import DegenerateGridError, InvalidGridError, SingularMatrixError, ValidationError
 
 DEFAULT_LAMBDA = 0.5
 DEFAULT_BETA = 1.0
 
-# The cache keeps at most this many bytes, least recently used out first. lattice_kernel
-# keeps an M x K kernel only where it fits beside its lattice's (K+3) x K inverse, so one
-# request never evicts its own plan: a 64x256 output with K = 64 (8 MiB) is kept, a 256x256
-# one (32 MiB) is not. An inverse fits at MAX_CONTROL_POINTS (8.4 MB).
+# The plan cache keeps at most this many bytes, least recently used out first. Keep rule: a
+# request keeps four plans, its grid's base lattice (16 K B) and (K+3) x K inverse, its output
+# lattice (16 M B) and M x K kernel, and never evicts its own: output_lattice keeps a lattice
+# only beside a base lattice and an inverse at MAX_CONTROL_POINTS (8.4 MB), lattice_kernel a
+# kernel only where all four fit, 8 (M + K + 5) K + 16 M B (8.7 MB at 64x256 with K = 64).
 PLAN_CACHE_BYTES = 32 << 20
 
 # The system solve is an O(K^3) LU with a Python loop over its K+3 columns: about 3 s at
@@ -61,8 +61,7 @@ class ControlPointGrid:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "offsets", offsets)
-        object.__setattr__(self, "base",
-                           _PLANS.get(("base", rows, cols), lambda: output_lattice(rows, cols)))
+        object.__setattr__(self, "base", output_lattice(rows, cols))
 
     @property
     def k(self):
@@ -91,11 +90,17 @@ class TpsTransform:
 
 
 def output_lattice(rows, cols):
-    """Row-major (rows*cols, 2) lattice on [-1,1]^2; a degenerate axis sits at 0."""
-    xs = np.linspace(-1.0, 1.0, cols) if cols > 1 else np.zeros(1)
-    ys = np.linspace(-1.0, 1.0, rows) if rows > 1 else np.zeros(1)
-    gx, gy = np.meshgrid(xs, ys)  # row-major: k = i*cols + j
-    return np.stack([gx.ravel(), gy.ravel()], axis=1)
+    """Read-only row-major (rows*cols, 2) lattice on [-1,1]^2, a degenerate axis at 0; cached
+    where the keep rule at PLAN_CACHE_BYTES admits it, else built for this call alone."""
+    def build():
+        xs = np.linspace(-1.0, 1.0, cols) if cols > 1 else np.zeros(1)
+        ys = np.linspace(-1.0, 1.0, rows) if rows > 1 else np.zeros(1)
+        gx, gy = np.meshgrid(xs, ys)  # row-major: k = i*cols + j
+        return np.stack([gx.ravel(), gy.ravel()], axis=1)
+
+    if 16 * rows * cols + 8 * (MAX_CONTROL_POINTS + 5) * MAX_CONTROL_POINTS > _PLANS.budget:
+        return tensor.read_only(build())
+    return _PLANS.get(("lattice", rows, cols), build)
 
 
 def check_grid(rows, cols):
@@ -118,17 +123,6 @@ def make_grid(rows, cols):
     return ControlPointGrid(rows, cols, tensor.read_only(np.zeros((rows * cols, 2))))
 
 
-def kernel_u(r):
-    """Thin-plate radial kernel U(r) = r^2 * ln(r^2), U(0) = 0."""
-    r = np.asarray(r, dtype=np.float64)
-    if np.any(r < 0):
-        raise DomainError("kernel_u requires r >= 0")
-    r2 = r * r
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(r2 > 0, r2 * np.log(np.where(r2 > 0, r2, 1.0)), 0.0)
-    return float(out) if out.ndim == 0 else out
-
-
 def kernel_between(points, centers):
     """(N, K) matrix of U(|p_n - c_k|) = r2 * ln(r2), built in place from r2 = dx^2 + dy^2."""
     r2 = np.subtract.outer(points[:, 0], centers[:, 0])
@@ -142,7 +136,7 @@ def kernel_between(points, centers):
 
 
 def build_kernel_matrix(grid):
-    """Read-only symmetric K x K matrix of kernel_u over pairwise base distances."""
+    """Read-only symmetric K x K matrix of U over pairwise base distances."""
     return tensor.read_only(kernel_between(grid.base, grid.base))
 
 
@@ -211,10 +205,10 @@ def system_inverse(grid):
 
 def lattice_kernel(centers, out_h, out_w):
     """Read-only (M, K) kernel U(|p_m - c_k|) of the out_h x out_w output lattice, cached;
-    None, with nothing built, where it would not fit the plan cache beside its (K+3, K) inverse."""
+    None, with nothing built, where the keep rule at PLAN_CACHE_BYTES does not admit it."""
     centers = np.ascontiguousarray(centers, dtype=np.float64)
-    k = centers.shape[0]
-    if 8 * (out_h * out_w + k + 3) * k > _PLANS.budget:
+    m, k = out_h * out_w, centers.shape[0]
+    if 8 * (m + k + 5) * k + 16 * m > _PLANS.budget:
         return None
     return _PLANS.get(("kernel", centers.tobytes(), out_h, out_w),
                       lambda: kernel_between(output_lattice(out_h, out_w), centers))

@@ -50,11 +50,11 @@ class TestWeights:
         blob = p.read_bytes()
         assert blob.index(b"a") < blob.index(b"z")
 
-    # a store the reader would reject: rank 5, a zero extent, a name that is not a string or
-    # not encodable as UTF-8
+    # a store the reader would reject: rank 5, a zero extent (a WeightStore holds no name
+    # that TPSW cannot encode)
     @pytest.mark.parametrize("name, arr", [
-        ("r5", np.ones((1, 1, 1, 1, 2))), ("empty", np.ones((3, 0))), (7, np.ones(2)),
-        ("\ud800", np.ones(2))], ids=["rank-5", "zero-extent", "int-name", "surrogate-name"])
+        ("r5", np.ones((1, 1, 1, 1, 2))), ("empty", np.ones((3, 0)))],
+        ids=["rank-5", "zero-extent"])
     def test_unreadable_store_not_written(self, tmp_path, name, arr):
         p = tmp_path / "w.tpsw"
         store = network.WeightStore({name: arr})

@@ -199,6 +199,13 @@ class TestContracts:
         with pytest.raises(ValidationError):
             network.WeightStore({"aipe.offset2.bias": bad})
 
+    @pytest.mark.parametrize("names", [[7], ["\ud800"], [1, "b"]],
+                             ids=["int-name", "surrogate-name", "mixed-keys"])
+    def test_name_not_a_utf8_string_rejected(self, names):
+        # the names a TPSW file can hold: a mixed store used to build, then fail to sort
+        with pytest.raises(ValidationError, match="not a UTF-8 string"):
+            network.WeightStore({name: np.ones(2) for name in names})
+
     def test_manifest_covers_store(self, weights):
         for name, shape in network.WEIGHT_MANIFEST.items():
             assert weights[name].shape == shape

@@ -3,8 +3,8 @@
 A warm request reuses the pages of the one before it: each kind below reads well under one
 fault per call. A change that keeps outputs byte-identical can still break that by giving
 glibc's dynamic mmap and trim thresholds a new allocation sequence; fusing relu into
-conv2d's float64 GEMM buffer made the forward take about 1800 faults per call, 7 MB of fresh
-pages. A fault count is exact where timings drift with the host, so this guard pins it.
+conv2d's float64 GEMM buffer made the forward take about 1,800-1,950 faults per call, 7-8 MB
+of fresh pages. A fault count is exact where timings drift with the host, so this guard pins it.
 
 The child runs with OPENBLAS_NUM_THREADS=1 and without malloc variables in its environment;
 the library sets no malloc options of its own.
@@ -20,7 +20,7 @@ import pytest
 
 resource = pytest.importorskip("resource")
 
-import tpspp  # noqa: E402  (after the skip: the child imports it from the same tree)
+import tpspp  # noqa: E402  (the child imports tpspp from where this process found it)
 
 # faults per call, about 30 times the readings on a 2-vCPU Xeon (glibc 2.36, Python 3.11):
 # every library kind reads 0.0-0.2; the CLI, whose parse of a 5.7 MB points file builds a

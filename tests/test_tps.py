@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tpspp import tensor, tps
-from tpspp.errors import DegenerateGridError, DomainError, InvalidGridError, ValidationError
+from tpspp import oracles, tensor, tps
+from tpspp.errors import DegenerateGridError, InvalidGridError, ValidationError
 from tpspp.rectify import rectify_map
 from tpspp.warp import map_point
 
@@ -82,23 +82,25 @@ class TestMakeGrid:
 
 
 class TestKernelU:
+    """Closed-form values of U(r) = r^2 ln r^2 through kernel_between."""
+
+    @staticmethod
+    def u(r):
+        return tps.kernel_between(np.array([[r, 0.0]]), np.zeros((1, 2)))[0, 0]
+
     def test_zero(self):
-        assert tps.kernel_u(0.0) == 0.0
+        assert self.u(0.0) == 0.0
 
     def test_one(self):
-        assert tps.kernel_u(1.0) == 0.0
+        assert self.u(1.0) == 0.0
 
     def test_sqrt_e(self):
-        assert abs(tps.kernel_u(math.sqrt(math.e)) - math.e) <= 1e-12
-
-    def test_negative(self):
-        with pytest.raises(DomainError):
-            tps.kernel_u(-0.1)
+        assert abs(self.u(math.sqrt(math.e)) - math.e) <= 1e-12
 
     def test_array_input(self):
-        out = tps.kernel_u(np.array([0.0, 1.0, 2.0]))
-        assert out[0] == 0.0 and out[1] == 0.0
-        assert abs(out[2] - 4.0 * math.log(4.0)) <= 1e-12
+        out = tps.kernel_between(np.array([[0.0, 0.0], [0.0, -1.0], [2.0, 0.0]]), np.zeros((1, 2)))
+        assert out[0, 0] == 0.0 and out[1, 0] == 0.0
+        assert abs(out[2, 0] - 4.0 * math.log(4.0)) <= 1e-12
 
 
 @st.composite
@@ -126,7 +128,7 @@ def test_kernel_between_matches_kernel_u(case):
         got = tps.kernel_between(points, centers)
     d = points[:, None, :] - centers[None, :, :]
     r2 = (d * d).sum(axis=2)
-    want = tps.kernel_u(np.sqrt(r2))
+    want = oracles.kernel_u(np.sqrt(r2))
     # U crosses 0 at r = 1, so the bound follows the terms of r2 * ln(r2), not |U|
     bound = 1e-14 * r2 * (1.0 + np.abs(np.log(np.where(r2 > 0, r2, 1.0))))
     assert got.shape == (len(points), len(centers))
@@ -343,7 +345,33 @@ class TestLatticePlan:
             tps.solve_transform(regressed)
             assert tps.lattice_kernel(regressed.base.copy(), 16, 64) is u
         assert len(solves) == 1
-        assert plans.nbytes == self.retained(plans) == g.base.nbytes + inv.nbytes + u.nbytes
+        lattice = tps.output_lattice(16, 64)
+        assert {(key[0],) + key[-2:] for key in plans._arrays} == {
+            ("lattice", 4, 16), ("inverse", 4, 16), ("lattice", 16, 64), ("kernel", 16, 64)}
+        assert plans.nbytes == self.retained(plans) == (g.base.nbytes + inv.nbytes
+                                                        + lattice.nbytes + u.nbytes)
+
+    def test_warm_request_builds_no_lattice(self, plans):
+        g = tps.make_grid(4, 16)
+        assert g.base is tps.output_lattice(4, 16) is tps.make_grid(4, 16).base
+        lattice = tps.output_lattice(16, 64)
+        assert lattice is tps.output_lattice(16, 64) and not lattice.flags.writeable
+        rectify_map(np.zeros((1, 4, 4)), g, None, 0.5, 1.0, 16, 64)
+        assert tps.output_lattice(16, 64) is lattice
+
+    def test_lattice_over_keep_rule_leaves_cache_unchanged(self, monkeypatch):
+        # a budget that keeps a 63-point lattice beside the largest base lattice and inverse,
+        # and no 64-point one
+        k = tps.MAX_CONTROL_POINTS
+        cache = tps._PlanCache(8 * (k + 5) * k + 16 * 63)
+        monkeypatch.setattr(tps, "_PLANS", cache)
+        kept = tps.output_lattice(7, 9)
+        keys, nbytes = list(cache._arrays), cache.nbytes
+        assert keys == [("lattice", 7, 9)] and nbytes == kept.nbytes
+        lattice = tps.output_lattice(8, 8)
+        assert not lattice.flags.writeable and lattice is not tps.output_lattice(8, 8)
+        np.testing.assert_array_equal(lattice, tps.make_grid(8, 8).base)
+        assert list(cache._arrays) == keys and cache.nbytes == nbytes
 
     def test_retained_bytes_within_budget(self, monkeypatch):
         budget = 3 * 8 * 64 * 64  # three 8x8 lattices with K = 64
@@ -358,7 +386,9 @@ class TestLatticePlan:
         assert [key[2:] for key in cache._arrays] == [(2, 32), (4, 16), (1, 64)]
 
     def test_over_budget_kernel_not_built(self, monkeypatch):
-        cache = tps._PlanCache(8 * (64 + 67) * 64)  # an 8x8 kernel beside its 67x64 inverse
+        # an 8x8 kernel beside its 67x64 inverse and two 64-point lattices; too small to keep
+        # any lattice
+        cache = tps._PlanCache(8 * (64 + 69) * 64 + 16 * 64)
         monkeypatch.setattr(tps, "_PLANS", cache)
         g = tps.make_grid(4, 16)
         small = tps.lattice_kernel(g.base, 8, 8)
@@ -368,7 +398,8 @@ class TestLatticePlan:
         assert tps.lattice_kernel(g.base, 16, 16) is None
         assert builds == []
         assert tps.lattice_kernel(g.base, 8, 8) is small
-        assert cache.nbytes == g.base.nbytes + small.nbytes
+        assert list(cache._arrays) == [("kernel", g.base.tobytes(), 8, 8)]
+        assert cache.nbytes == small.nbytes
 
     def test_inverse_at_max_control_points_fits(self):
         k = tps.MAX_CONTROL_POINTS
@@ -379,19 +410,25 @@ class TestLatticePlan:
             with pytest.raises(DegenerateGridError):
                 tps.solve_transform(tps.make_grid(1, 4))
             assert len(solves) == n  # a failure is not cached
-        assert list(plans._arrays) == [("base", 1, 4)] and plans.nbytes == 4 * 2 * 8
+        assert list(plans._arrays) == [("lattice", 1, 4)] and plans.nbytes == 4 * 2 * 8
 
     def test_concurrent_lookups_keep_the_count(self, monkeypatch):
-        cache = tps._PlanCache(2 * 8 * (64 + 67) * 64)  # two 64-location kernels beside inverses
+        # room for the largest base lattice and inverse, which no lookup here keeps, and one
+        # 4096-location kernel with K = 64 beside its lattices: the kernels and lattices of
+        # four of the eight extents fit at once, and a kernel's build looks its lattice up
+        k = tps.MAX_CONTROL_POINTS
+        cache = tps._PlanCache(8 * (k + 5) * k + 8 * (4096 + 69) * 64 + 16 * 4096)
         monkeypatch.setattr(tps, "_PLANS", cache)
         g = tps.make_grid(4, 16)
-        lattices = [(8, 8), (4, 16), (16, 4), (2, 32), (32, 2)]
+        lattices = [(64, 64), (32, 128), (128, 32), (16, 256), (256, 16), (8, 512), (512, 8),
+                    (4, 1024)]
         errors = []
 
         def lookups(offset):
             try:
                 for i in range(40):
                     out_h, out_w = lattices[(i + offset) % len(lattices)]
+                    assert tps.output_lattice(out_h, out_w).shape == (out_h * out_w, 2)
                     assert tps.lattice_kernel(g.base, out_h, out_w).shape == (out_h * out_w, 64)
             except Exception as exc:  # reported by the main thread
                 errors.append(exc)

@@ -304,11 +304,12 @@ class TestBuildSamplingGrid:
         for rows, cols, out_h, out_w in [(4, 16, 480, 640), (2, 2, 960, 1280)]:
             for peak, bound in self.peaks_and_bounds(monkeypatch, rows, cols, out_h, out_w):
                 assert peak <= bound
-            assert [key[0] for key in tps._PLANS._arrays] == ["base", "inverse"]
+            assert list(tps._PLANS._arrays) == [("lattice", rows, cols), ("inverse", rows, cols),
+                                                ("lattice", out_h, out_w)]
 
     def test_kernel_kept_only_beside_its_inverse(self, monkeypatch):
         # a 256x256 kernel with K = 64 is exactly the plan budget: keeping it would evict the
-        # inverse, and the next request's inverse would evict the kernel
+        # inverse and the lattices, and the next request's inverse would evict the kernel
         monkeypatch.setattr(tps, "_PLANS", tps._PlanCache(tps.PLAN_CACHE_BYTES))
         g = tps.make_grid(4, 16)
         rectify_map(np.zeros((1, 4, 4)), g, None, 0.5, 1.0, 256, 256)
@@ -317,7 +318,24 @@ class TestBuildSamplingGrid:
         monkeypatch.setattr(tensor, "solve_linear", lambda *args: solves.append(1) or real(*args))
         rectify_map(np.zeros((1, 4, 4)), g, None, 0.5, 1.0, 256, 256)
         assert solves == []
-        assert [key[0] for key in tps._PLANS._arrays] == ["base", "inverse"]
+        assert list(tps._PLANS._arrays) == [("lattice", 4, 16), ("inverse", 4, 16),
+                                            ("lattice", 256, 256)]
+
+    def test_alternating_lattices_at_the_kernel_boundary_solve_once(self, monkeypatch):
+        # at K = 64 a kernel is kept up to 63,483 locations (247x257 is), where it fits beside
+        # its inverse and both lattices; 236x269 (63,484) would fit without the base lattice,
+        # 255x256 and 256x255 without either lattice, and keeping any of them would evict the
+        # inverse on every other request
+        monkeypatch.setattr(tps, "_PLANS", tps._PlanCache(tps.PLAN_CACHE_BYTES))
+        solves = []
+        real = tensor.solve_linear
+        monkeypatch.setattr(tensor, "solve_linear", lambda *args: solves.append(1) or real(*args))
+        g = tps.make_grid(4, 16)
+        rng = np.random.default_rng(21)
+        for out_h, out_w in [(236, 269), (247, 257), (255, 256), (256, 255)] * 2:
+            regressed = g.with_offsets(rng.uniform(-0.1, 0.1, (64, 2)))
+            rectify_map(np.zeros((1, 4, 4)), regressed, None, 0.5, 1.0, out_h, out_w)
+        assert solves == [1]
 
     def test_peak_memory_at_four_control_points(self, monkeypatch):
         # K = 4, the smallest solvable lattice, at 8192 locations: fewer than a warp chunk, so
@@ -668,7 +686,8 @@ def test_blocked_sampling_grid_matches_one_gemm(sampling_coords_one_gemm, shape,
     with mock.patch.object(tps, "_PLANS", tps._PlanCache(tps.PLAN_CACHE_BYTES if cached else 0)):
         t = tps.solve_transform(g, lam=rng.uniform(-2.0, 2.0), beta=rng.uniform(-2.0, 2.0))
         got = build_sampling_grid(t, att, out_h, out_w, rows=rows).coords
-        assert [key[0] for key in tps._PLANS._arrays] == (["inverse", "kernel"] if cached else [])
+        assert [key[0] for key in tps._PLANS._arrays] == (["inverse", "lattice", "kernel"]
+                                                          if cached else [])
     assert got.tobytes() == sampling_coords_one_gemm(t, att, out_h, out_w, rows).tobytes()
 
 
