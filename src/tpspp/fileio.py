@@ -157,15 +157,19 @@ def load_image(path):
 
 
 def save_image(t, path):
-    """Write a (1, H, W) or (H, W) map in [0, 1] as binary PGM."""
-    t = np.asarray(t)
+    """Write a (1, H, W) or (H, W) map in [0, 1] as binary PGM, values outside it saturated.
+    Before the file is opened, a value that is not a finite real number raises ValidationError
+    and a shape that load_image would reject, a zero extent included, FormatError."""
+    t = real_array(t, "image")
     if t.ndim == 3:
         if t.shape[0] != 1:
             raise FormatError(f"save_image needs a single channel, got {t.shape}")
         t = t[0]
-    if t.ndim != 2:
-        raise FormatError(f"save_image expects (H, W) or (1, H, W), got {t.shape}")
-    q = np.clip(np.rint(t.astype(np.float64) * 255.0), 0, 255).astype(np.uint8)
+    if t.ndim != 2 or 0 in t.shape:
+        raise FormatError(f"save_image expects (H, W) or (1, H, W), H, W >= 1, got {t.shape}")
+    if not np.isfinite(t).all():
+        raise ValidationError("image values must be finite")
+    q = np.rint(np.clip(t, 0.0, 1.0).astype(np.float64) * 255.0).astype(np.uint8)
     with open(path, "wb") as fh:
         fh.write(b"P5\n%d %d\n255\n" % (t.shape[1], t.shape[0]))
         fh.write(q.tobytes())

@@ -5,9 +5,10 @@ The chain for a 1x32x128 input:
   toy_backbone -> (32x32x128, 64x16x64, 96x16x64)
   msfa_forward -> encoded 64x4x16 (after the channel/spatial gate),
                   decoded 64x16x64
-  aipe_forward -> 64 control-point offsets and a 1024x64 score matrix
+  aipe_forward -> the regressed 4x16 control grid and a 1024x64 score matrix
 
-All forwards are pure functions of (input, weights); no state is kept.
+All forwards are pure functions of (input, weights); no state is kept. The
+control grid, one point per encoded position, is part of the model.
 Convolutions are cross-correlations with zero padding; linear layers use
 the out-by-in convention y = W @ x + b.
 """
@@ -18,6 +19,7 @@ import numpy as np
 
 from . import tensor
 from .errors import MissingParameterError, ShapeError, ValidationError
+from .tps import ControlPointGrid
 from .warp import AttentionMatrix
 
 D = 64                 # shared channel width of encoded/decoded features
@@ -193,9 +195,6 @@ def _avgpool2x2(x):
 def cbam_forward(x, w):
     """Channel gate then spatial gate, both multiplicative."""
     x = np.asarray(x)
-    c = x.shape[0]
-    if c % CBAM_REDUCTION != 0:
-        raise ShapeError(f"channels {c} not divisible by reduction {CBAM_REDUCTION}")
 
     def mlp(v):
         h = tensor.relu(_linear(v[None, :], w["msfa.cbam.mlp1.weight"], w["msfa.cbam.mlp1.bias"]))
@@ -269,15 +268,8 @@ def dgab_forward(pair, w):
     return (merged * f_d).astype(f_d.dtype)
 
 
-def check_control_points(grid):
-    """ShapeError unless the grid is the ENC_H x ENC_W lattice, one point per encoded position."""
-    if (grid.rows, grid.cols) != (ENC_H, ENC_W):
-        raise ShapeError(f"grid {grid.rows}x{grid.cols} is not the encoded {ENC_H}x{ENC_W}")
-
-
-def aipe_forward(pair, w, grid):
-    """Predict control-point offsets and the attention score matrix."""
-    check_control_points(grid)
+def aipe_forward(pair, w):
+    """Regress the ENC_H x ENC_W control grid's offsets and the attention score matrix."""
     fe_seq = _encoded_sequence(np.asarray(pair.f_e))  # K x D
 
     h = tensor.relu(_linear(fe_seq, w["aipe.offset1.weight"], w["aipe.offset1.bias"]))
@@ -287,15 +279,14 @@ def aipe_forward(pair, w, grid):
     m_seq = gated.transpose(1, 2, 0).reshape(DEC_H * DEC_W, D)
     # tensor.tanh keeps the scores inside the open interval (-1, 1)
     scores = tensor.tanh(m_seq.astype(np.float64) @ fe_seq.astype(np.float64).T / np.sqrt(D))
-    return (grid.with_offsets(tensor.read_only(offsets.astype(np.float64))),
+    return (ControlPointGrid(ENC_H, ENC_W, tensor.read_only(offsets.astype(np.float64))),
             DecodedAttention(tensor.read_only(scores)))
 
 
-def rectification_forward(image, w, grid):
-    """Full chain: backbone, aggregation, parameter estimation, once the grid's extents pass.
+def rectification_forward(image, w):
+    """Full chain: backbone, aggregation, parameter estimation.
     Overflow is not reported: non-finite offsets or scores raise ValidationError instead."""
-    check_control_points(grid)
     with np.errstate(over="ignore", invalid="ignore"):
         pair = msfa_forward(toy_backbone(image, w), w)
-        regressed_grid, attention = aipe_forward(pair, w, grid)
+        regressed_grid, attention = aipe_forward(pair, w)
     return pair, regressed_grid, attention

@@ -3,7 +3,7 @@
 import numpy as np
 
 from . import network
-from .errors import ValidationError
+from .errors import ShapeError, ValidationError
 from .tensor import real_array
 from .tps import solve_transform
 from .warp import build_sampling_grid, check_lattice, check_source, warp
@@ -36,17 +36,21 @@ def rectify_map(source, grid, attention, lam, beta, out_h, out_w, border="zeros"
     """Solve the transform for a regressed grid and warp a (C,H,W) map."""
     transform = solve_transform(grid, lam=lam, beta=beta)
     source = check_source(source)  # a (C,H,W) map warps to C * itemsize B per output location
-    check_lattice(out_h, out_w, transform.k, source.itemsize * int(np.prod(source.shape[:-2])))
+    out_h, out_w = check_lattice(out_h, out_w, transform.k,
+                                 source.itemsize * int(np.prod(source.shape[:-2])))
     rows = attention_for_lattice(attention, out_h, out_w)
     sampling = build_sampling_grid(transform, attention, out_h, out_w, rows=rows)
     return warp(source, sampling, border=border), sampling
 
 
 def rectify_with_network(image, weights, grid, lam, beta, out_h, out_w, border="zeros"):
-    """Check the output lattice and the encoder's grid, run the forward networks, rectify."""
+    """Check the output lattice and that the grid is the network's, run the networks, rectify."""
     image = real_array(image, "image")
     check_lattice(out_h, out_w, grid.k, image.itemsize)  # the network takes (1,H,W) images
-    _, regressed, attention = network.rectification_forward(image, weights, grid)
+    if (grid.rows, grid.cols) != (network.ENC_H, network.ENC_W):
+        raise ShapeError(f"grid {grid.rows}x{grid.cols} is not the encoded "
+                         f"{network.ENC_H}x{network.ENC_W}")
+    _, regressed, attention = network.rectification_forward(image, weights)
     warped, sampling = rectify_map(image, regressed, attention, lam, beta, out_h, out_w, border)
     return warped, sampling, regressed, attention
 

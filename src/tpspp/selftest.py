@@ -205,13 +205,13 @@ def suite_warp():
 def suite_network_shapes():
     w = network.init_weights(0)
     img = synth.make_stripe_image(3)
-    pair, grid, att = network.rectification_forward(img, w, make_grid(4, 16))
+    pair, grid, att = network.rectification_forward(img, w)
     _check(pair.f_e.shape == (64, 4, 16), f"f_e shape {pair.f_e.shape}")
     _check(pair.f_d.shape == (64, 16, 64), f"f_d shape {pair.f_d.shape}")
     _check(grid.k == 64, f"K = {grid.k}")
     _check(att.scores.shape == (1024, 64), f"attention shape {att.scores.shape}")
     _check(np.abs(att.scores).max() < 1.0, "attention scores not strictly inside (-1,1)")
-    pair2, grid2, att2 = network.rectification_forward(img, w, make_grid(4, 16))
+    pair2, grid2, att2 = network.rectification_forward(img, w)
     _check(np.array_equal(pair.f_d, pair2.f_d) and np.array_equal(att.scores, att2.scores),
            "forward pass not bit-deterministic")
     return "32x128 -> f_e 64x4x16, f_d 64x16x64, A 1024x64 in (-1,1), deterministic"

@@ -89,9 +89,23 @@ class TpsTransform:
         return self.centers.shape[0]
 
 
+def check_extents(rows, cols):
+    """Lattice extents as ints; ValidationError unless both are integers >= 1."""
+    try:
+        rows, cols = operator.index(rows), operator.index(cols)
+    except TypeError:
+        raise ValidationError(f"lattice extents must be integers, got {rows!r}x{cols!r}") from None
+    if rows < 1 or cols < 1:
+        raise ValidationError(f"lattice extents must be >= 1, got {rows}x{cols}")
+    return rows, cols
+
+
 def output_lattice(rows, cols):
     """Read-only row-major (rows*cols, 2) lattice on [-1,1]^2, a degenerate axis at 0; cached
-    where the keep rule at PLAN_CACHE_BYTES admits it, else built for this call alone."""
+    where the keep rule at PLAN_CACHE_BYTES admits it, else built for this call alone.
+    Extents that check_extents rejects raise ValidationError before the cache is touched."""
+    rows, cols = check_extents(rows, cols)
+
     def build():
         xs = np.linspace(-1.0, 1.0, cols) if cols > 1 else np.zeros(1)
         ys = np.linspace(-1.0, 1.0, rows) if rows > 1 else np.zeros(1)

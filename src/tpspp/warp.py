@@ -6,14 +6,13 @@ point k. With lam = 0 (or an all-zero score row and beta = 1) this is
 exactly the classic TPS evaluation.
 """
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateGridError, ShapeError, ValidationError
 from .tensor import frozen_real_array, read_only, real_array
-from .tps import kernel_between, lattice_kernel, output_lattice
+from .tps import check_extents, kernel_between, lattice_kernel, output_lattice
 
 # Work: M * K kernel logs where the plan cache keeps no kernel, 114M/s on a 2.1 GHz Xeon: 0.8 s.
 # Bytes: 43 B per location, rectify_map's tracemalloc peak at K = 4 to 64, plus the output's.
@@ -62,8 +61,8 @@ class AttentionMatrix:
 class SamplingGrid:
     """Per output location, the normalized source coordinate to sample.
 
-    Extents that are not integers >= 1 raise ValidationError (check_lattice); a non-finite
-    coordinate raises DegenerateGridError.
+    Extents that are not integers >= 1 raise ValidationError (check_lattice) and are kept as
+    the ints it returns; a non-finite coordinate raises DegenerateGridError.
     """
 
     height: int
@@ -71,12 +70,14 @@ class SamplingGrid:
     coords: np.ndarray  # (height*width, 2), may leave [-1,1]^2
 
     def __post_init__(self):
-        check_lattice(self.height, self.width, 0)  # integer extents >= 1
+        height, width = check_lattice(self.height, self.width, 0)  # integer extents >= 1
         c = frozen_real_array(self.coords, "sampling coordinates", np.float64)
-        if c.shape != (self.height * self.width, 2):
-            raise ShapeError(f"coords shape {c.shape} != ({self.height * self.width}, 2)")
+        if c.shape != (height * width, 2):
+            raise ShapeError(f"coords shape {c.shape} != ({height * width}, 2)")
         if not np.all(np.isfinite(c)):
             raise DegenerateGridError("a sampling coordinate is not finite")
+        object.__setattr__(self, "height", height)
+        object.__setattr__(self, "width", width)
         object.__setattr__(self, "coords", c)
 
 
@@ -101,18 +102,16 @@ def map_point(p, transform, attention_row):
 
 
 def check_lattice(out_h, out_w, k, out_bytes=0):
-    """Reject extents not integers >= 1, M * K over MAX_KERNEL_ENTRIES, and M * (LOCATION_BYTES +
-    out_bytes, the warp output's C * itemsize) over MAX_LATTICE_BYTES, before allocating any."""
-    try:
-        m = operator.index(out_h) * operator.index(out_w)
-    except TypeError:
-        raise ValidationError(f"output extents must be integers, got {out_h!r}x{out_w!r}") from None
-    if out_h < 1 or out_w < 1:
-        raise ValidationError(f"output extents must be >= 1, got {out_h}x{out_w}")
+    """Output extents as ints. Reject extents check_extents rejects, M * K over MAX_KERNEL_ENTRIES,
+    and M * (LOCATION_BYTES + out_bytes, the warp output's C * itemsize) over MAX_LATTICE_BYTES,
+    before allocating any."""
+    out_h, out_w = check_extents(out_h, out_w)
+    m = out_h * out_w
     if m * k > MAX_KERNEL_ENTRIES or m * (LOCATION_BYTES + out_bytes) > MAX_LATTICE_BYTES:
         raise ValidationError(f"output {out_h}x{out_w} needs {m * k} kernel entries at K={k} and "
                               f"{m * (LOCATION_BYTES + out_bytes)} B, over the bounds of "
                               f"{MAX_KERNEL_ENTRIES} entries or {MAX_LATTICE_BYTES} B")
+    return out_h, out_w
 
 
 def build_sampling_grid(transform, attention, out_h, out_w, *, rows=None):
@@ -123,7 +122,7 @@ def build_sampling_grid(transform, attention, out_h, out_w, *, rows=None):
     row m when rows is None. A non-finite source coordinate raises
     DegenerateGridError from SamplingGrid.
     """
-    check_lattice(out_h, out_w, transform.k)
+    out_h, out_w = check_lattice(out_h, out_w, transform.k)
     m, k = out_h * out_w, transform.k
     if attention is not None:
         if rows is None and attention.m_locations != m:

@@ -96,7 +96,7 @@ def test_criterion_4_solver_oracle():
 def test_criterion_5_shape_contract():
     w = network.init_weights(0)
     img = synth.make_stripe_image(3)
-    pair, grid, att = network.rectification_forward(img, w, make_grid(4, 16))
+    pair, grid, att = network.rectification_forward(img, w)
     ok = (pair.f_e.shape == (64, 4, 16) and pair.f_d.shape == (64, 16, 64)
           and grid.k == 64 and att.scores.shape == (1024, 64)
           and float(np.abs(att.scores).max()) < 1.0)

@@ -16,7 +16,7 @@ import tpspp
 from tpspp import cli, network, synth
 from tpspp.errors import TpsError
 from tpspp.rectify import rectify_map, rectify_with_network
-from tpspp.tps import ControlPointGrid, make_grid, solve_transform
+from tpspp.tps import ControlPointGrid, make_grid, output_lattice, solve_transform
 from tpspp.warp import AttentionMatrix, SamplingGrid, map_point
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -85,6 +85,9 @@ def _call(entry, draw):
     if entry == "SamplingGrid":
         extents = st.sampled_from([2, 4.5, "2", None, np.int32(2)])
         return SamplingGrid(draw(extents), 2, draw(values((4, 2)))).coords
+    if entry == "output_lattice":
+        extents = st.integers(-1, 5) | st.sampled_from([2.5, "2", None, True, np.int32(2)])
+        return output_lattice(draw(extents), draw(extents))
     if entry == "solve_transform":
         return solve_transform(GRID, draw(SCALARS), draw(SCALARS)).t_matrix
     if entry == "map_point":
@@ -109,7 +112,8 @@ def _finite_or_typed(call):
 
 @settings(max_examples=400, deadline=None)
 @given(entry=st.sampled_from(["ControlPointGrid", "with_offsets", "AttentionMatrix",
-                              "SamplingGrid", "solve_transform", "map_point", "rectify_map"]),
+                              "SamplingGrid", "output_lattice", "solve_transform", "map_point",
+                              "rectify_map"]),
        data=st.data())
 def test_library_entries_finite_or_typed(entry, data):
     _finite_or_typed(lambda: _call(entry, data.draw))

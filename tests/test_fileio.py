@@ -216,6 +216,23 @@ class TestImages:
         fileio.save_image(np.array([[[0.5]]], np.float32), p)
         assert p.read_bytes().endswith(bytes([128]))  # round(0.5*255) = 128
 
+    def test_values_outside_unit_interval_saturate(self, tmp_path):
+        p = tmp_path / "a.pgm"
+        fileio.save_image(np.array([[-1e308, -0.5, 1.5, 1e308]]), p)  # no overflow warning
+        assert p.read_bytes() == b"P5\n4 1\n255\n" + bytes([0, 0, 255, 255])
+
+    @pytest.mark.parametrize("t, error", [
+        (np.array([[np.nan, 0.5], [np.inf, -np.inf]]), ValidationError),
+        (np.array([["0.5"]]), ValidationError),
+        (np.zeros((1, 0, 3)), FormatError),
+        (np.zeros((3, 0), np.float32), FormatError)],
+        ids=["non-finite", "str", "zero-height", "zero-width"])
+    def test_unwritable_map_rejected_before_the_file_is_opened(self, tmp_path, t, error):
+        p = tmp_path / "a.pgm"
+        with pytest.raises(error):
+            fileio.save_image(t, p)
+        assert not p.exists()
+
 
 def _points_doc(**fields):
     grid = make_grid(2, 2)

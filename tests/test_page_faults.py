@@ -53,7 +53,7 @@ image = synth.make_stripe_image(7)
 base = tps.make_grid(network.ENC_H, network.ENC_W)
 faults = {}
 faults["rectification_forward"] = per_call(
-    lambda: network.rectification_forward(image, weights, base))
+    lambda: network.rectification_forward(image, weights))
 faults["rectify_with_network"] = per_call(
     lambda: rectify.rectify_with_network(image, weights, base, 0.5, 1.0, 32, 128))
 

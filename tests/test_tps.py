@@ -359,6 +359,13 @@ class TestLatticePlan:
         rectify_map(np.zeros((1, 4, 4)), g, None, 0.5, 1.0, 16, 64)
         assert tps.output_lattice(16, 64) is lattice
 
+    @pytest.mark.parametrize("rows, cols", [(-1, 3), (0, 3), (3, 0), (2.5, 3), ("2", 3),
+                                            (None, 3)])
+    def test_bad_extents_rejected_before_the_cache(self, plans, rows, cols):
+        with pytest.raises(ValidationError):
+            tps.output_lattice(rows, cols)
+        assert not plans._arrays and plans.nbytes == 0
+
     def test_lattice_over_keep_rule_leaves_cache_unchanged(self, monkeypatch):
         # a budget that keeps a 63-point lattice beside the largest base lattice and inverse,
         # and no 64-point one

@@ -222,6 +222,16 @@ class TestBuildSamplingGrid:
         got, _ = rectify_map(np.ones((1, 4, 4)), g, None, 0.5, 1.0, np.int32(6), np.uint8(8))
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("out_h, out_w", [(True, 4), (np.uint8(200), np.uint8(200))],
+                             ids=["bool-is-1", "uint8-product-wraps"])
+    def test_extents_kept_as_the_ints_check_lattice_returns(self, out_h, out_w):
+        g, _ = random_transform(19)
+        want, _ = rectify_map(np.ones((1, 4, 4)), g, None, 0.5, 1.0, int(out_h), int(out_w))
+        got, sampling = rectify_map(np.ones((1, 4, 4)), g, None, 0.5, 1.0, out_h, out_w)
+        assert got.tobytes() == want.tobytes()
+        assert (type(sampling.height), type(sampling.width)) == (int, int)
+        assert type(SamplingGrid(True, 2, np.zeros((2, 2))).height) is int
+
     def test_byte_bound_edge(self):
         # a 64-channel float32 output at K = 4: the bytes bind long before the kernel work
         most = MAX_LATTICE_BYTES // (LOCATION_BYTES + 256)
