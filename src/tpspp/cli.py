@@ -54,16 +54,16 @@ def cmd_rectify(args):
         else _parse_pair(args.out_size, "--out-size")
 
     if args.points is not None:
-        grid, attention, file_lam, file_beta = fileio.import_grid_json(args.points)
-        lam = file_lam if args.lam is None else args.lam
-        beta = file_beta if args.beta is None else args.beta
+        grid, attention, lam, beta = fileio.import_grid_json(args.points)
+    else:
+        grid, lam, beta = make_grid(network.ENC_H, network.ENC_W), DEFAULT_LAMBDA, DEFAULT_BETA
+        weights = fileio.load_weights(args.weights)
+    lam = lam if args.lam is None else args.lam
+    beta = beta if args.beta is None else args.beta
+    if args.points is not None:
         out, sampling = rectify_map(image, grid, attention, lam, beta,
                                     out_h, out_w, border=args.border)
     else:
-        grid = make_grid(network.ENC_H, network.ENC_W)
-        lam = DEFAULT_LAMBDA if args.lam is None else args.lam
-        beta = DEFAULT_BETA if args.beta is None else args.beta
-        weights = fileio.load_weights(args.weights)
         out, sampling, grid, _ = rectify_with_network(
             image, weights, grid, lam, beta, out_h, out_w, border=args.border)
 
@@ -94,7 +94,8 @@ def cmd_inspect(args):
     if args.weights is None:
         manifest = [{"name": name, "shape": list(shape)}
                     for name, shape in sorted(network.WEIGHT_MANIFEST.items())]
-        print(json.dumps({"format": "TPSW", "version": 1, "tensors": manifest}, indent=2))
+        print(json.dumps({"format": fileio.MAGIC.decode("ascii"), "version": fileio.VERSION,
+                          "tensors": manifest}, indent=2))
         return EXIT_OK
     w = fileio.load_weights(args.weights)
     for name, arr in w.items():

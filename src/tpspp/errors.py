@@ -13,10 +13,6 @@ class SingularMatrixError(TpsError):
     """A linear system has no usable pivot (magnitude below threshold)."""
 
 
-class InvalidGridError(TpsError):
-    """Control-point grid parameters are unusable (fewer than 2 points)."""
-
-
 class DegenerateGridError(TpsError):
     """Control-point configuration yields a singular interpolation system."""
 

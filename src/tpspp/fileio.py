@@ -176,7 +176,9 @@ def save_image(t, path):
 
 
 def export_grid_json(grid, attention, path, lam=DEFAULT_LAMBDA, beta=DEFAULT_BETA):
-    """Write grid + attention as JSON; attention may be None (all-zero)."""
+    """Write grid + attention as JSON; attention may be None (all-zero). A lam or beta that is
+    not one finite real number raises ValidationError before the file is opened."""
+    lam, beta = real_scalar(lam, "lambda"), real_scalar(beta, "beta")
     doc = {
         "rows": grid.rows,
         "cols": grid.cols,

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor
-from .errors import DegenerateGridError, InvalidGridError, SingularMatrixError, ValidationError
+from .errors import DegenerateGridError, ShapeError, SingularMatrixError, ValidationError
 
 DEFAULT_LAMBDA = 0.5
 DEFAULT_BETA = 1.0
@@ -42,8 +42,8 @@ MAX_CONTROL_POINTS = 1024
 class ControlPointGrid:
     """K = rows*cols points of the lattice check_grid admits, plus their (K, 2) offsets.
 
-    The base is derived from the extents, never supplied. Bad extents or offsets not (K, 2)
-    raise InvalidGridError; offsets that are not finite real numbers raise ValidationError.
+    The base is derived from the extents, never supplied. Extents check_grid rejects and
+    offsets that are not finite real numbers raise ValidationError, offsets not (K, 2) ShapeError.
     """
 
     rows: int
@@ -55,7 +55,7 @@ class ControlPointGrid:
         rows, cols = check_grid(self.rows, self.cols)
         offsets = tensor.frozen_real_array(self.offsets, "offsets", np.float64)
         if offsets.shape != (rows * cols, 2):
-            raise InvalidGridError(f"offsets shape {offsets.shape} != ({rows * cols}, 2)")
+            raise ShapeError(f"offsets shape {offsets.shape} != ({rows * cols}, 2)")
         if not np.all(np.isfinite(offsets)):
             raise ValidationError("offsets contain non-finite values")
         object.__setattr__(self, "rows", rows)
@@ -118,16 +118,12 @@ def output_lattice(rows, cols):
 
 
 def check_grid(rows, cols):
-    """Grid extents as ints; InvalidGridError unless integers giving 2..MAX_CONTROL_POINTS points."""
-    try:
-        rows, cols = operator.index(rows), operator.index(cols)
-    except TypeError:
-        raise InvalidGridError(f"grid extents must be integers, got {rows!r}x{cols!r}") from None
-    if rows < 1 or cols < 1 or rows * cols < 2:
-        raise InvalidGridError(f"grid {rows}x{cols} has fewer than 2 points")
-    if rows * cols > MAX_CONTROL_POINTS:
-        raise InvalidGridError(f"grid {rows}x{cols} has {rows * cols} points, above the "
-                               f"bound of {MAX_CONTROL_POINTS}")
+    """Grid extents as ints; ValidationError unless check_extents admits them and they give
+    2..MAX_CONTROL_POINTS points."""
+    rows, cols = check_extents(rows, cols)
+    if not 2 <= rows * cols <= MAX_CONTROL_POINTS:
+        raise ValidationError(f"grid {rows}x{cols} has {rows * cols} points, outside "
+                              f"2..{MAX_CONTROL_POINTS}")
     return rows, cols
 
 

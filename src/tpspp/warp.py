@@ -61,8 +61,8 @@ class AttentionMatrix:
 class SamplingGrid:
     """Per output location, the normalized source coordinate to sample.
 
-    Extents that are not integers >= 1 raise ValidationError (check_lattice) and are kept as
-    the ints it returns; a non-finite coordinate raises DegenerateGridError.
+    Extents check_extents rejects raise ValidationError, else are kept as the ints it returns;
+    coords not (height*width, 2) raise ShapeError, a non-finite coordinate DegenerateGridError.
     """
 
     height: int
@@ -70,7 +70,7 @@ class SamplingGrid:
     coords: np.ndarray  # (height*width, 2), may leave [-1,1]^2
 
     def __post_init__(self):
-        height, width = check_lattice(self.height, self.width, 0)  # integer extents >= 1
+        height, width = check_extents(self.height, self.width)
         c = frozen_real_array(self.coords, "sampling coordinates", np.float64)
         if c.shape != (height * width, 2):
             raise ShapeError(f"coords shape {c.shape} != ({height * width}, 2)")

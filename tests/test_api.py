@@ -2,6 +2,7 @@
 the library entries, each of which must return finite output or raise a TpsError."""
 
 import argparse
+import ast
 import re
 import warnings
 from pathlib import Path
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import tpspp
-from tpspp import cli, network, synth
+from tpspp import cli, errors, network, synth
 from tpspp.errors import TpsError
 from tpspp.rectify import rectify_map, rectify_with_network
 from tpspp.tps import ControlPointGrid, make_grid, output_lattice, solve_transform
@@ -158,3 +159,19 @@ def test_callers_array_stays_writeable(build, dtype):
     frozen = np.zeros((4, 2), dtype)
     frozen.flags.writeable = False
     assert build(frozen) is frozen
+
+
+def test_every_error_class_is_raised():
+    # a class of tpspp.errors that src/ neither raises nor subclasses into a raised one is dead
+    raised = set()
+    for path in Path(tpspp.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None))
+    classes = [cls for cls in vars(errors).values()
+               if isinstance(cls, type) and cls.__module__ == errors.__name__]
+    live = [cls for cls in classes if cls.__name__ in raised]
+    assert {"ShapeError", "ValidationError"} <= raised
+    assert [cls.__name__ for cls in classes
+            if not any(issubclass(sub, cls) for sub in live)] == []

@@ -305,6 +305,21 @@ class TestGridJson:
         _, att, _, _ = fileio.import_grid_json(p)
         assert att is None
 
+    @pytest.mark.parametrize("field", ["lam", "beta"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), "x"])
+    def test_export_rejects_what_import_rejects(self, tmp_path, field, bad):
+        # checked before the file is opened, so no file is left for import to reject
+        p = tmp_path / "g.json"
+        with pytest.raises(ValidationError):
+            fileio.export_grid_json(make_grid(2, 2), None, p, **{field: bad})
+        assert not p.exists()
+
+    def test_export_writes_numpy_scalars_as_floats(self, tmp_path):
+        p = tmp_path / "g.json"
+        fileio.export_grid_json(make_grid(2, 2), None, p, lam=np.float32(0.5), beta=np.int64(2))
+        _, _, lam, beta = fileio.import_grid_json(p)
+        assert (lam, beta) == (0.5, 2.0)
+
     def test_out_of_bound_attention_names_index(self, tmp_path):
         p = tmp_path / "g.json"
         grid = make_grid(2, 2)

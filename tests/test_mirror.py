@@ -1,9 +1,11 @@
-"""Mirror relations of rectify_map, which need no oracle.
+"""Mirror and transpose relations of rectify_map, which need no oracle.
 
 Reversing the source along one axis, with the control grid, its offsets and the scores
-mirrored to match, reverses the output and its sampling coordinates along that axis. The
-scalar oracles share the code's conventions (x rightward, y downward, row-major control
-points and score rows), so a slip made in both goes unseen by them; a relation catches it.
+mirrored to match, reverses the output and its sampling coordinates along that axis.
+Transposing the source, with the grid, the output extents and the scores transposed and x
+and y trading places, transposes the output and its sampling coordinates. The scalar
+oracles share the code's conventions (x rightward, y downward, row-major control points and
+score rows), so a slip made in both goes unseen by them; a relation catches it.
 """
 
 import numpy as np
@@ -28,9 +30,9 @@ COORD_TOL = 1e-9
 
 
 @st.composite
-def cases(draw):
+def cases(draw, kinds=("none", "per-location", "decoded")):
     rows, cols = draw(st.integers(2, 8)), draw(st.integers(2, 16))
-    scores = draw(st.sampled_from(["none", "per-location", "decoded"]))
+    scores = draw(st.sampled_from(kinds))
     if scores == "decoded":  # the decoded rows' floor rule is mirror-symmetric at these only
         out_h, out_w = DEC_H * draw(st.integers(1, 2)), DEC_W * draw(st.integers(1, 2))
     else:
@@ -56,6 +58,17 @@ def rectify(case, source, offsets, values):
                        case["out_w"], case["border"])
 
 
+def assert_agree(source, out, coords, want_out, want_coords):
+    """Sampling coordinates within COORD_TOL of max(1, max|coordinate|), and outputs within
+    what the coordinates' residue and the warp's rounding can move them."""
+    scale = max(1.0, float(np.abs(coords).max()))
+    assert np.abs(coords - want_coords).max() <= COORD_TOL * scale
+    pixels = COORD_TOL * scale * (max(source.shape[1:]) - 1) / 2  # a coordinate's move, in px
+    rounding = 6 * np.finfo(source.dtype).eps / 2 * float(np.abs(source).max())
+    got = want_out.astype(np.float64)
+    assert np.abs(out.astype(np.float64) - got).max() <= 2 * pixels + 2 * rounding
+
+
 @pytest.mark.parametrize("axis", [0, 1], ids=["mirror-in-y", "mirror-in-x"])
 @settings(max_examples=120, deadline=None)
 @given(case=cases())
@@ -74,11 +87,29 @@ def test_mirror_reverses_the_output(axis, case):
     mirrored_out, mirrored_sampling = rectify(case, np.flip(source, axis=1 + axis),
                                               mirrored_offsets.reshape(-1, 2), mirrored_values)
 
-    coords = sampling.coords.reshape(out_h, out_w, 2)
-    want = np.flip(mirrored_sampling.coords.reshape(out_h, out_w, 2), axis=axis) * sign
-    scale = max(1.0, float(np.abs(coords).max()))
-    assert np.abs(coords - want).max() <= COORD_TOL * scale
-    pixels = COORD_TOL * scale * (max(source.shape[1:]) - 1) / 2  # a coordinate's move, in px
-    rounding = 6 * np.finfo(source.dtype).eps / 2 * float(np.abs(source).max())
-    got = np.flip(mirrored_out, axis=1 + axis).astype(np.float64)
-    assert np.abs(out.astype(np.float64) - got).max() <= 2 * pixels + 2 * rounding
+    assert_agree(source, out, sampling.coords.reshape(out_h, out_w, 2),
+                 np.flip(mirrored_out, axis=1 + axis),
+                 np.flip(mirrored_sampling.coords.reshape(out_h, out_w, 2), axis=axis) * sign)
+
+
+# decoded scores stay on the 16x64 lattice, which a transpose would turn into 64x16
+@settings(max_examples=120, deadline=None)
+@given(case=cases(kinds=("none", "per-location")))
+def test_transpose_transposes_the_output(case):
+    # point (i, j) of the R x C grid is point (j, i) of the C x R one, its x and y swapped
+    rows, cols, out_h, out_w = case["rows"], case["cols"], case["out_h"], case["out_w"]
+    values, transposed_values = case["values"], None
+    if values is not None:  # score rows follow the output locations, score columns the points
+        transposed_values = values.reshape(out_h, out_w, rows, cols).transpose(
+            1, 0, 3, 2).reshape(values.shape)
+    transposed_offsets = case["offsets"].reshape(rows, cols, 2).transpose(1, 0, 2)[..., ::-1]
+    transposed = dict(case, rows=cols, cols=rows, out_h=out_w, out_w=out_h)
+    source = case["source"]
+    out, sampling = rectify(case, source, case["offsets"], values)
+    transposed_out, transposed_sampling = rectify(transposed, source.transpose(0, 2, 1),
+                                                  transposed_offsets.reshape(-1, 2),
+                                                  transposed_values)
+
+    coords = transposed_sampling.coords.reshape(out_w, out_h, 2).transpose(1, 0, 2)[..., ::-1]
+    assert_agree(source, out, sampling.coords.reshape(out_h, out_w, 2),
+                 transposed_out.transpose(0, 2, 1), coords)
