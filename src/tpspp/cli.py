@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import fileio, network, selftest, synth
-from .errors import DegenerateGridError, SingularMatrixError, TpsError, ValidationError
+from .errors import DegenerateGridError, TpsError, ValidationError
 from .rectify import annotate_points, deformation_grid_image, rectify_map, rectify_with_network
 from .tps import DEFAULT_BETA, DEFAULT_LAMBDA, make_grid
 
@@ -27,9 +27,6 @@ EXIT_OK = 0
 EXIT_SELFTEST = 1
 EXIT_VALIDATION = 2
 EXIT_DEGENERATE = 3
-
-_DEGENERATE_ERRORS = (DegenerateGridError, SingularMatrixError)  # checked first: both are TpsErrors
-_VALIDATION_ERRORS = (TpsError, OSError)  # OSError: a path that cannot be read or written
 
 
 def _parse_pair(text, what):
@@ -67,7 +64,7 @@ def cmd_rectify(args):
         out, sampling, grid, _ = rectify_with_network(
             image, weights, grid, lam, beta, out_h, out_w, border=args.border)
 
-    fileio.save_image(np.clip(out, 0.0, 1.0), args.out)
+    fileio.save_image(out, args.out)
     if args.overlay:
         fileio.save_image(annotate_points(image, grid), _sibling(args.out, "_points"))
         fileio.save_image(deformation_grid_image(sampling, src_h, src_w),
@@ -143,10 +140,10 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except _DEGENERATE_ERRORS as exc:
+    except DegenerateGridError as exc:  # checked first: it is a TpsError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except _VALIDATION_ERRORS as exc:
+    except (TpsError, OSError) as exc:  # OSError: a path that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

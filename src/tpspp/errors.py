@@ -9,28 +9,12 @@ class ShapeError(TpsError):
     """Operand shapes are incompatible with the requested operation."""
 
 
-class SingularMatrixError(TpsError):
-    """A linear system has no usable pivot (magnitude below threshold)."""
-
-
 class DegenerateGridError(TpsError):
-    """Control-point configuration yields a singular interpolation system."""
-
-
-class MissingParameterError(TpsError):
-    """A forward pass requested a weight name absent from the store."""
+    """A singular linear system, or a non-finite transform or coordinate."""
 
 
 class FormatError(TpsError):
     """A file does not conform to the expected binary/text format."""
-
-
-class TruncationError(FormatError):
-    """A file ended before its declared payload was complete."""
-
-
-class DuplicateEntryError(FormatError):
-    """A weight file declares the same tensor name twice."""
 
 
 class ValidationError(TpsError):

@@ -13,7 +13,7 @@ import struct
 
 import numpy as np
 
-from .errors import DuplicateEntryError, FormatError, TruncationError, ValidationError
+from .errors import FormatError, ValidationError
 from .network import WeightStore
 from .tensor import read_only, real_array, real_scalar
 from .tps import DEFAULT_BETA, DEFAULT_LAMBDA, ControlPointGrid
@@ -51,7 +51,7 @@ class _Reader:
 
     def take(self, n):
         if self.pos + n > len(self.data):
-            raise TruncationError(f"need {n} bytes at offset {self.pos}, file has {len(self.data)}")
+            raise FormatError(f"need {n} bytes at offset {self.pos}, file has {len(self.data)}")
         chunk = self.data[self.pos:self.pos + n]
         self.pos += n
         return chunk
@@ -84,9 +84,9 @@ def load_weights(path):
         if any(d == 0 for d in dims):
             raise FormatError(f"tensor {name!r} has a zero extent {dims}")
         n = math.prod(dims)  # Python integers: np.prod of four u32 extents overflows int64
-        payload = r.take(4 * n)  # TruncationError when 4n exceeds the bytes left
+        payload = r.take(4 * n)  # FormatError when 4n exceeds the bytes left
         if name in tensors:
-            raise DuplicateEntryError(f"duplicate tensor name {name!r}")
+            raise FormatError(f"duplicate tensor name {name!r}")
         tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(dims)
     return WeightStore(tensors)
 
@@ -105,7 +105,7 @@ def _pnm_tokens(data):
         while pos < len(data) and not data[pos:pos + 1].isspace():
             pos += 1
         if pos == start:
-            raise TruncationError("netpbm header ended early")
+            raise FormatError("netpbm header ended early")
         yield data[start:pos], pos
 
 
@@ -135,7 +135,7 @@ def load_image(path):
     if magic == b"P3":
         values = data[end:].split()
         if len(values) < n:
-            raise TruncationError(f"P3 payload has {len(values)} samples, need {n}")
+            raise FormatError(f"P3 payload has {len(values)} samples, need {n}")
         try:
             pixels = np.array([int(v) for v in values[:n]], dtype=np.float64)
         except ValueError as exc:
@@ -145,7 +145,7 @@ def load_image(path):
     else:
         payload = data[end + 1:end + 1 + n]  # single whitespace byte after maxval
         if len(payload) < n:
-            raise TruncationError(f"binary payload has {len(payload)} bytes, need {n}")
+            raise FormatError(f"binary payload has {len(payload)} bytes, need {n}")
         pixels = np.frombuffer(payload, dtype=np.uint8).astype(np.float64)
 
     pixels = pixels.reshape(height, width, channels)

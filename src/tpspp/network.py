@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor
-from .errors import MissingParameterError, ShapeError, ValidationError
+from .errors import ShapeError, ValidationError
 from .tps import ControlPointGrid
 from .warp import AttentionMatrix
 
@@ -48,11 +48,11 @@ class WeightStore:
         self._tensors = store
 
     def __getitem__(self, name):
-        """The forwards' one read of a parameter: a manifest name must have its manifest shape."""
+        """The forwards' one read of a parameter: ShapeError if absent or not its manifest shape."""
         try:
             arr = self._tensors[name]
         except KeyError:
-            raise MissingParameterError(f"weight {name!r} not found") from None
+            raise ShapeError(f"weight {name!r} not found") from None
         shape = WEIGHT_MANIFEST.get(name, arr.shape)
         if arr.shape != shape:
             raise ShapeError(f"weight {name!r} has shape {arr.shape}, the manifest says {shape}")

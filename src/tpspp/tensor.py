@@ -10,7 +10,7 @@ import operator
 
 import numpy as np
 
-from .errors import ShapeError, SingularMatrixError, ValidationError
+from .errors import DegenerateGridError, ShapeError, ValidationError
 
 PIVOT_EPS = 1e-12
 
@@ -69,7 +69,7 @@ def matmul(a, b):
 def solve_linear(m, rhs):
     """Solve m @ x = rhs for an (n, r) rhs by LU with partial pivoting (float64 internally).
 
-    A pivot with magnitude below PIVOT_EPS raises SingularMatrixError.
+    A pivot with magnitude below PIVOT_EPS raises DegenerateGridError: the system is singular.
     """
     a = np.array(m, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -82,7 +82,8 @@ def solve_linear(m, rhs):
     for k in range(n):
         p = k + int(np.argmax(np.abs(a[k:, k])))
         if abs(a[p, k]) < PIVOT_EPS:
-            raise SingularMatrixError(f"pivot {a[p, k]:.3e} below {PIVOT_EPS} at column {k}")
+            raise DegenerateGridError(f"singular system: pivot {a[p, k]:.3e} below {PIVOT_EPS} "
+                                      f"at column {k}")
         if p != k:
             a[[k, p]] = a[[p, k]]
             b[[k, p]] = b[[p, k]]

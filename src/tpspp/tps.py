@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor
-from .errors import DegenerateGridError, ShapeError, SingularMatrixError, ValidationError
+from .errors import DegenerateGridError, ShapeError, ValidationError
 
 DEFAULT_LAMBDA = 0.5
 DEFAULT_BETA = 1.0
@@ -201,14 +201,12 @@ def system_inverse(grid):
     """Read-only (K+3) x K inverse of the grid's interpolation system, cached by its extents.
 
     The system's right-hand side is zero below row K, so the transform of any regressed
-    points is this inverse times them. A singular system raises DegenerateGridError.
+    points is this inverse times them. A singular system raises DegenerateGridError from
+    tensor.solve_linear.
     """
     def build():
         m, _ = interpolation_system(grid)
-        try:
-            return tensor.solve_linear(m, np.eye(grid.k + 3)[:, :grid.k])
-        except SingularMatrixError as exc:
-            raise DegenerateGridError(f"control points yield a singular system: {exc}") from exc
+        return tensor.solve_linear(m, np.eye(grid.k + 3)[:, :grid.k])
 
     return _PLANS.get(("inverse", grid.rows, grid.cols), build)
 

@@ -164,17 +164,14 @@ def build_sampling_grid(transform, attention, out_h, out_w, *, rows=None):
 
 
 def check_source(source):
-    """`source` as the (C,H,W) array warp samples: C, H, W >= 1, else ShapeError, and finite
-    integer or real floating values, in half its type's range if it is 64-bit or float32 and
-    in half of float64's if it is a long double, else ValidationError."""
-    try:
-        source = np.asarray(source)
-    except ValueError as exc:  # ragged nesting
-        raise ShapeError(f"source is not a (C,H,W) array: {exc}") from None
+    """`source` as the (C,H,W) array warp samples, converted by real_array (an object array
+    of Python numbers becomes float64; what it rejects, ragged nesting included, raises
+    ValidationError): C, H, W >= 1, else ShapeError, and finite values, in half its type's
+    range if it is 64-bit or float32 and in half of float64's if it is a long double, else
+    ValidationError."""
+    source = real_array(source, "source")
     if source.ndim != 3 or min(source.shape) < 1:
         raise ShapeError(f"warp expects a (C,H,W) source with C, H, W >= 1, got {source.shape}")
-    if source.dtype.kind not in "iuf":
-        raise ValidationError(f"warp samples integer or real floating maps, not {source.dtype}")
     # the four weights may sum to a few ulp over 1, so a source sampled in its own type's
     # precision (float32, float64) or beyond float64's (int64, uint64, a long double) keeps
     # half its range free: a weighted sum of its largest values would overflow it

@@ -161,17 +161,44 @@ def test_callers_array_stays_writeable(build, dtype):
     assert build(frozen) is frozen
 
 
+ERROR_CLASSES = [cls for cls in vars(errors).values()
+                 if isinstance(cls, type) and cls.__module__ == errors.__name__]
+SOURCES = sorted(Path(tpspp.__file__).parent.glob("*.py"))
+
+
+def _names(node):
+    """The class names `node` (a raised expression or an except clause's type) refers to."""
+    if isinstance(node, ast.Tuple):
+        return {name for elt in node.elts for name in _names(elt)}
+    node = node.func if isinstance(node, ast.Call) else node
+    return {node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)}
+
+
 def test_every_error_class_is_raised():
     # a class of tpspp.errors that src/ neither raises nor subclasses into a raised one is dead
     raised = set()
-    for path in Path(tpspp.__file__).parent.glob("*.py"):
+    for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Raise) and node.exc is not None:
-                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-                raised.add(exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None))
-    classes = [cls for cls in vars(errors).values()
-               if isinstance(cls, type) and cls.__module__ == errors.__name__]
-    live = [cls for cls in classes if cls.__name__ in raised]
+                raised |= _names(node.exc)
+    live = [cls for cls in ERROR_CLASSES if cls.__name__ in raised]
     assert {"ShapeError", "ValidationError"} <= raised
-    assert [cls.__name__ for cls in classes
+    assert [cls.__name__ for cls in ERROR_CLASSES
             if not any(issubclass(sub, cls) for sub in live)] == []
+
+
+def test_no_error_class_is_translated_into_another():
+    # an except that catches one tpspp.errors class and raises another makes two classes for
+    # one outcome: the code that detects the fault raises the class of its outcome instead
+    ours = {cls.__name__ for cls in ERROR_CLASSES}
+    translations = []
+    for path in SOURCES:
+        for handler in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(handler, ast.ExceptHandler) or handler.type is None:
+                continue
+            caught = _names(handler.type) & ours
+            translations += [f"{path.name}:{node.lineno} catches {sorted(caught)}"
+                             for stmt in handler.body for node in ast.walk(stmt)
+                             if caught and isinstance(node, ast.Raise) and node.exc is not None
+                             and _names(node.exc) & (ours - caught)]
+    assert translations == []

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pydantic_core import from_json
 
-from tpspp import fileio, network, synth
+from tpspp import cli, errors, fileio, network, synth
 from tpspp.cli import main
-from tpspp.errors import ShapeError, ValidationError
+from tpspp.errors import DegenerateGridError, ShapeError, ValidationError
 from tpspp.rectify import rectify_with_network
 from tpspp.tps import make_grid, output_lattice
 from tpspp.warp import AttentionMatrix
@@ -369,3 +369,19 @@ class TestInspect:
         p = tmp_path / "w.tpsw"
         p.write_bytes(b"junkjunk")
         assert run("inspect", "--weights", str(p)) == 2
+
+
+# every class of tpspp.errors, found by introspection so a class added later is covered, and
+# OSError for a path that cannot be read or written
+RAISED = [cls for cls in vars(errors).values()
+          if isinstance(cls, type) and cls.__module__ == errors.__name__] + [OSError]
+
+
+@pytest.mark.parametrize("cls", RAISED, ids=lambda cls: cls.__name__)
+def test_exit_code_per_error_class(monkeypatch, capsys, cls):
+    def fail(args):
+        raise cls("planted")
+
+    monkeypatch.setattr(cli, "cmd_inspect", fail)
+    assert main(["inspect"]) == (3 if issubclass(cls, DegenerateGridError) else 2)
+    assert capsys.readouterr().err == "error: planted\n"  # one line, no traceback

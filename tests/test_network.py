@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tpspp import network, rectify, synth
-from tpspp.errors import MissingParameterError, ShapeError, ValidationError
+from tpspp.errors import ShapeError, ValidationError
 from tpspp.tps import make_grid, output_lattice, solve_transform
 from tpspp.warp import map_point
 
@@ -78,7 +78,7 @@ class TestMsfa:
         tensors = dict(network.init_weights(0).items())
         del tensors["msfa.layer3.weight"]
         w = network.WeightStore(tensors)
-        with pytest.raises(MissingParameterError):
+        with pytest.raises(ShapeError, match="not found"):
             network.msfa_forward(network.toy_backbone(image, w), w)
 
     def test_golden_checksums(self, pair):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tpspp import network, tensor
-from tpspp.errors import ShapeError, SingularMatrixError
+from tpspp.errors import DegenerateGridError, ShapeError
 from tpspp.oracles import conv2d_loops, gauss_solve_full_pivot
 
 
@@ -58,7 +58,7 @@ class TestSolveLinear:
         assert np.abs(m @ x - rhs).max() <= 1e-6 * (1.0 + np.abs(rhs).max())
 
     def test_singular(self):
-        with pytest.raises(SingularMatrixError):
+        with pytest.raises(DegenerateGridError, match="singular"):
             tensor.solve_linear(np.array([[1.0, 1.0], [1.0, 1.0]]), np.zeros((2, 1)))
 
     def test_not_square(self):

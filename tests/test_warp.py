@@ -476,16 +476,28 @@ class TestWarp:
 
     def test_ragged_source_rejected(self):
         ragged = [[[0.0, 0.0], [0.0]]]
-        with pytest.raises(ShapeError):
+        with pytest.raises(ValidationError, match="source is not an array of real numbers"):
             warp(ragged, SamplingGrid(1, 1, np.zeros((1, 2))))
-        with pytest.raises(ShapeError):
+        with pytest.raises(ValidationError, match="source is not an array of real numbers"):
             rectify_map(ragged, tps.make_grid(2, 2), None, 0.5, 1.0, 3, 4)
 
     @pytest.mark.parametrize("src", [np.ones((1, 2, 2), bool), np.ones((1, 2, 2), complex),
-                                     np.full((1, 2, 2), "1"), np.ones((1, 2, 2), object)])
+                                     np.full((1, 2, 2), "1")])
     def test_source_dtype_checked(self, src):
-        with pytest.raises(ValidationError, match="integer or real floating"):
+        with pytest.raises(ValidationError, match="source must hold real numbers"):
             warp(src, SamplingGrid(1, 1, np.zeros((1, 2))))
+
+    def test_object_source_of_python_floats_sampled_as_float64(self):
+        # real_array converts an object array of Python numbers, as for every library input
+        src = np.random.default_rng(15).uniform(0, 1, size=(2, 5, 7))
+        boxed = src.astype(object)
+        assert boxed.dtype == object and type(boxed[1, 4, 6]) is float
+        grid = SamplingGrid(3, 4, np.random.default_rng(16).uniform(-1.2, 1.2, (12, 2)))
+        assert warp(boxed, grid).tobytes() == warp(src, grid).tobytes()
+        g = tps.make_grid(2, 2).with_offsets(np.full((4, 2), 0.05))
+        got, _ = rectify_map(boxed, g, None, 0.5, 1.0, 3, 4)
+        assert got.dtype == np.float64
+        assert got.tobytes() == rectify_map(src, g, None, 0.5, 1.0, 3, 4)[0].tobytes()
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_source_rejected(self, bad):
