@@ -1,3 +1,4 @@
+import os
 import re
 import subprocess
 import sys
@@ -9,11 +10,15 @@ EXPECTED = DIGEST.with_suffix(".txt")
 
 def test_output_digest_prints_one_line_per_case():
     # every byte-identical claim diffs this tool's output across two trees, and the committed
-    # file holds the values this tree must print: a change to any output fails here
-    out = subprocess.run([sys.executable, str(DIGEST)], capture_output=True, text=True,
-                         check=True, timeout=300)
-    lines = out.stdout.splitlines()
-    assert all(re.fullmatch(r"\S+ [0-9a-f]{64}", line) for line in lines), lines
-    names = [line.split()[0] for line in lines]
-    assert len(set(names)) == len(names) == 96
-    assert lines == EXPECTED.read_text().splitlines()
+    # file holds the values this tree must print at 1 and at 2 BLAS threads: a change to any
+    # output, or an output that moves with the thread count, fails here
+    expected = EXPECTED.read_text().splitlines()
+    for threads in ("1", "2"):
+        out = subprocess.run([sys.executable, str(DIGEST)], capture_output=True, text=True,
+                             check=True, timeout=300,
+                             env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
+        lines = out.stdout.splitlines()
+        assert all(re.fullmatch(r"\S+ [0-9a-f]{64}", line) for line in lines), lines
+        names = [line.split()[0] for line in lines]
+        assert len(set(names)) == len(names) == 96
+        assert lines == expected, f"OPENBLAS_NUM_THREADS={threads}"

@@ -8,9 +8,10 @@ comparing them takes one diff:
     diff old.txt new.txt
 
 `output_digest.txt` beside this file holds the lines the tree prints
-(numpy 2.4 with its bundled OpenBLAS 0.3.31 on x86-64, at 1 or 2 threads);
-`tests/test_tools.py` compares against it. A change that alters an output
-on purpose regenerates it:
+(numpy 2.4 with its bundled OpenBLAS 0.3.31 on x86-64, at 1 or 2 threads;
+thread counts above 2 are unverified); `tests/test_tools.py` compares
+against it at `OPENBLAS_NUM_THREADS=1` and at `2`. A change that alters
+an output on purpose regenerates it:
 
     python3 tools/output_digest.py > tools/output_digest.txt
 
