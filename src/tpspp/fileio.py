@@ -10,6 +10,7 @@ TPSW layout (all integers u32 little-endian, floats IEEE-754 f32 LE):
 import gc
 import json
 import math
+import re
 import struct
 
 import numpy as np
@@ -92,22 +93,12 @@ def load_weights(path):
     return WeightStore(tensors)
 
 
-def _pnm_tokens(data):
-    """Header tokens of a netpbm file, skipping '#' comments."""
-    pos = 0
-    while True:
-        while pos < len(data) and data[pos:pos + 1].isspace():
-            pos += 1
-        if pos < len(data) and data[pos:pos + 1] == b"#":
-            while pos < len(data) and data[pos:pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos:pos + 1].isspace():
-            pos += 1
-        if pos == start:
-            raise FormatError("netpbm header ended early")
-        yield data[start:pos], pos
+# A netpbm header: P3, P5 or P6, then width, height and maxval, each after whitespace, then the
+# one whitespace byte before the raster. A '#' comment starts the file or follows whitespace and
+# runs to the end of its line: (?![^\n]) keeps it from ending early. A number is leading zeros and
+# at most 19 digits: int() refuses over 4300, and no file holds 1e19 pixels.
+_PNM_HEADER = re.compile(rb"(?:\s|#[^\n]*(?![^\n]))*(P[356])"
+                         + 3 * rb"\s(?:\s|#[^\n]*(?![^\n]))*0*([0-9]{1,19})" + rb"\s")
 
 
 def load_image(path):
@@ -117,15 +108,12 @@ def load_image(path):
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    tokens = _pnm_tokens(data)
-    magic, _ = next(tokens)
-    if magic not in (b"P5", b"P6", b"P3"):
-        raise FormatError(f"unsupported netpbm magic {magic!r}")
-    try:
-        (w_tok, _), (h_tok, _), (max_tok, end) = next(tokens), next(tokens), next(tokens)
-        width, height, maxval = int(w_tok), int(h_tok), int(max_tok)
-    except ValueError as exc:
-        raise FormatError(f"non-numeric netpbm header field: {exc}") from exc
+    header = _PNM_HEADER.match(data)
+    if header is None:
+        raise FormatError("not a netpbm header: P3, P5 or P6, then width, height and maxval in "
+                          "decimal digits, each after whitespace or '#' comments")
+    magic, end = header[1], header.end()
+    width, height, maxval = (int(v) for v in header.groups()[1:])
     if width < 1 or height < 1:
         raise FormatError(f"bad image extents {width}x{height}")
     if maxval != 255:
@@ -134,17 +122,16 @@ def load_image(path):
     channels = 3 if magic in (b"P6", b"P3") else 1
     n = width * height * channels
     if magic == b"P3":
-        values = data[end:].split()
+        values = data[end:].split()[:n]
         if len(values) < n:
             raise FormatError(f"P3 payload has {len(values)} samples, need {n}")
-        try:
-            pixels = np.array([int(v) for v in values[:n]], dtype=np.float64)
-        except ValueError as exc:
-            raise FormatError(f"non-numeric P3 sample: {exc}") from exc
-        if pixels.min() < 0 or pixels.max() > 255:
+        if not all(map(bytes.isdigit, values)):
+            raise FormatError("non-numeric P3 sample")
+        pixels = np.array(list(map(float, values)))  # float, unlike int, takes any digit count
+        if pixels.max() > 255:
             raise FormatError("P3 sample out of range 0..255")
     else:
-        payload = data[end + 1:end + 1 + n]  # single whitespace byte after maxval
+        payload = data[end:end + n]
         if len(payload) < n:
             raise FormatError(f"binary payload has {len(payload)} bytes, need {n}")
         pixels = np.frombuffer(payload, dtype=np.uint8).astype(np.float64)

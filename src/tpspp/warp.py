@@ -26,9 +26,8 @@ MAX_LATTICE_BYTES = 4 << 30
 # control points
 WARP_BLOCK_ENTRIES = 1 << 16
 
-# warp computes the bilinear setup of this many output locations at once, eleven float64 or
-# int64 arrays of 128 KiB (and the four weights rounded to float32 for a float32 source), and
-# frees it before the next chunk
+# warp computes the bilinear setup of this many output locations at once, five float64 or int64
+# arrays of 128 KiB and the four weights in the working dtype, and frees it before the next chunk
 WARP_CHUNK_LOCATIONS = 1 << 14
 
 
@@ -235,14 +234,16 @@ def _warp_chunk(framed, coords, out, h, w, lo, gathered, acc):
     # capped so a coordinate on pixel w (or h) reads its far neighbor, weight 1, from the frame
     x0 = np.minimum(np.floor(xs), w - 1)
     y0 = np.minimum(np.floor(ys), h - 1)
-    fx = xs - x0
-    fy = ys - y0
     corner = ((y0 + 1.0) * (w + 2) + (x0 + 1.0)).astype(np.int64)  # flat index of (y0, x0)
+    xs -= x0  # xs, ys: the fractions fx, fy; gx, gy: 1 - fx, 1 - fy, in x0's and y0's place
+    ys -= y0
+    gx, gy = np.subtract(1.0, xs, out=x0), np.subtract(1.0, ys, out=y0)
+    weights = np.empty((4, len(coords)), framed.dtype)  # each rounded to the working dtype once
+    for wgt, a, b in zip(weights, (gx, xs, gx, xs), (gy, gy, ys, ys)):
+        np.multiply(a, b, out=wgt, casting="unsafe")
     # the table from a neighbor's offset on holds that neighbor at the corner's index, which
     # is in range by construction, so mode="clip" never clips: it only skips numpy's buffering
-    neighbors = [(framed[offset:], wgt.astype(framed.dtype, copy=False)) for offset, wgt in (
-        (0, (1.0 - fx) * (1.0 - fy)), (1, fx * (1.0 - fy)),
-        (w + 2, (1.0 - fx) * fy), (w + 3, fx * fy))]
+    neighbors = list(zip((framed, framed[1:], framed[w + 2:], framed[w + 3:]), weights))
     for start in range(0, len(coords), len(acc)):
         n = min(len(acc), len(coords) - start)
         rows = slice(start, start + n)

@@ -234,6 +234,68 @@ class TestImages:
             fileio.save_image(t, p)
         assert not p.exists()
 
+    @pytest.mark.parametrize("blob", [
+        b"#a\nP5 #b\n2 #c\n1 #d\n255\n\x00\xff",
+        b"P5\r\n# a\r\n2 1\r\n255\n\x00\xff",
+        b"P5\t2\x0b1\x0c255\t\x00\xff",
+        b"P5 0002 01 0255\n\x00\xff"],
+        ids=["comment-between-every-token", "crlf", "tab-vt-ff", "leading-zeros"])
+    def test_header_accepted(self, tmp_path, blob):
+        p = tmp_path / "a.pgm"
+        p.write_bytes(blob)
+        assert np.array_equal(fileio.load_image(p), np.array([[[0.0, 1.0]]], np.float32))
+
+    @pytest.mark.parametrize("blob, message", [
+        (b"P5 +2 1 255\n\x00\xff", "not a netpbm header"),
+        (b"P5 2_0 1 255\n" + bytes(20), "not a netpbm header"),
+        (b"P5 2 1#c\n255\n\x00\xff", "not a netpbm header"),
+        (b"P5 2 1 # the maxval", "not a netpbm header"),
+        (b"P6\n1\n# ch1\n0255\n\xff\x00\x00", "not a netpbm header"),
+        (b"P1 2 1 255\n\x00\xff", "not a netpbm header"),
+        (b"P2 2 1 255\n0 255\n", "not a netpbm header"),
+        (b"p5 2 1 255\n\x00\xff", "not a netpbm header"),
+        (b"P5 2 1 256\n\x00\xff", "only maxval 255"),
+        (b"P3 1 1 255\n+1 2 3\n", "non-numeric P3 sample"),
+        (b"P3 1 1 255\n1 2_0 3\n", "non-numeric P3 sample"),
+        (b"P3 1 1 255\n1 2 256\n", "out of range")],
+        ids=["plus", "underscore", "glued-comment", "comment-to-eof", "comment-ending-early",
+             "P1", "P2", "p5", "maxval-256", "p3-plus", "p3-underscore", "p3-256"])
+    def test_header_rejected(self, tmp_path, blob, message):
+        p = tmp_path / "a.pnm"
+        p.write_bytes(blob)
+        with pytest.raises(FormatError, match=message):
+            fileio.load_image(p)
+
+
+_SPACE = st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"])
+_GAP = st.lists(_SPACE | st.binary(max_size=6).map(lambda b: b"#" + b.replace(b"\n", b"") + b"\n"),
+                max_size=3).map(b"".join)  # whitespace and comments, each to its line's end
+_SEPARATOR = st.tuples(_SPACE, _GAP).map(b"".join)
+_NUMBER = st.tuples(st.integers(0, 3), st.integers(1, 6)).map(lambda t: b"0" * t[0] + b"%d" % t[1])
+
+
+@settings(max_examples=150, deadline=2000)
+@given(magic=st.sampled_from([b"P5", b"P6", b"P3"]), data=st.data())
+def test_header_round_trip(tmp_path_factory, magic, data):
+    # the raster of a P3 file is samples between whitespace, with no comments
+    width, height = data.draw(_NUMBER), data.draw(_NUMBER)
+    channels = 1 if magic == b"P5" else 3
+    n = int(width) * int(height) * channels
+    pixels = np.frombuffer(data.draw(st.binary(min_size=n, max_size=n)), np.uint8)
+    blob = (data.draw(_GAP) + magic + data.draw(_SEPARATOR) + width + data.draw(_SEPARATOR) +
+            height + data.draw(_SEPARATOR) + b"0" * data.draw(st.integers(0, 2)) + b"255" +
+            data.draw(_SPACE))
+    if magic == b"P3":
+        spaces = data.draw(st.lists(_SPACE, min_size=n, max_size=n))
+        blob += b"".join(b"%d%s" % pair for pair in zip(pixels, spaces))
+    else:
+        blob += pixels.tobytes()
+    path = tmp_path_factory.mktemp("pnm") / "a.pnm"
+    path.write_bytes(blob)
+    pixels = pixels.reshape(int(height), int(width), channels).astype(np.float64)
+    gray = pixels @ np.array([0.299, 0.587, 0.114]) if channels == 3 else pixels[:, :, 0]
+    assert np.array_equal(fileio.load_image(path), (gray / 255.0).astype(np.float32)[None])
+
 
 def _points_doc(**fields):
     grid = make_grid(2, 2)

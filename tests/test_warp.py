@@ -282,7 +282,7 @@ class TestBuildSamplingGrid:
         allowance that does not grow with M: the scores' scaled copy, a block of scaled
         kernel rows (8 * WARP_BLOCK_ENTRIES) and a chunk-sized array (8 * WARP_CHUNK_LOCATIONS).
         Below WARP_CHUNK_LOCATIONS locations the warp's chunk setup is M long: at 32x256 with
-        K = 4 the warm peak reaches 98% of its bound.
+        K = 4 the warm peak reaches 86% of its bound.
         """
         monkeypatch.setattr(tps, "_PLANS", tps._PlanCache(tps.PLAN_CACHE_BYTES))
         g = tps.make_grid(rows, cols)

@@ -33,7 +33,9 @@ The set covers the paper's full path and the network-free one:
   inverse: all three are built block by block;
 - `fileio.import_grid_json` on a seeded points file with a 4096x64 attention
   matrix, written by `export_grid_json`: the parsed offsets, scores, lambda
-  and beta.
+  and beta;
+- `fileio.load_image` on seeded 23x37 P5, P6 and P3 files with a `#` comment
+  between each pair of header fields.
 Each digest covers the array's dtype and shape as well as its bytes.
 """
 
@@ -143,9 +145,23 @@ def points_outputs():
     yield "points.beta", np.float64(beta)
 
 
+def image_outputs():
+    rng = np.random.default_rng(19)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "image.pnm"
+        for magic, channels in [(b"P5", 1), (b"P6", 3), (b"P3", 3)]:
+            pixels = rng.integers(0, 256, (23, 37, channels), dtype=np.uint8)
+            header = b"%s # seeded\n37\t# width\r\n23\n#\n 255\n" % magic
+            if magic == b"P3":
+                path.write_bytes(header + b" ".join(b"%d" % v for v in pixels.ravel()) + b"\n")
+            else:
+                path.write_bytes(header + pixels.tobytes())
+            yield f"image.{magic.decode().lower()}", fileio.load_image(path)
+
+
 def main():
     for outputs in (network_outputs(), map_outputs(), dtype_outputs(), block_edge_outputs(),
-                    points_outputs()):
+                    points_outputs(), image_outputs()):
         for name, array in outputs:
             print(name, digest(array))
 
