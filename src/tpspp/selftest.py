@@ -2,7 +2,8 @@
 
 Each suite re-checks one documented contract against an independent
 oracle or closed-form expectation. All randomness is seeded, so a pass
-or failure is reproducible.
+or failure is reproducible. These suites are the one home of the
+acceptance criteria: `tests/test_acceptance.py` runs them by name.
 """
 
 import time
@@ -52,7 +53,7 @@ def suite_solver_oracle():
         worst = max(worst, float(np.abs(x - ref).max()))
     _check(worst <= 1e-8, f"LU vs full-pivot oracle max diff {worst:.3e}")
     # residual bound on full-size interpolation systems
-    for seed in range(5):
+    for seed in range(10):
         g = make_grid(4, 16).with_offsets(
             np.random.default_rng(seed).uniform(-0.1, 0.1, size=(64, 2)))
         m, rhs = interpolation_system(g)
@@ -60,7 +61,7 @@ def suite_solver_oracle():
         res = np.abs(m @ x - rhs).max()
         bound = 1e-6 * (1.0 + np.abs(rhs).max())
         _check(res <= bound, f"solve residual {res:.3e} above bound {bound:.3e}")
-    return f"100 10x10 systems, worst diff {worst:.2e}; residuals on 5 67x67 systems"
+    return f"100 10x10 systems, worst diff {worst:.2e}; residuals on 10 67x67 systems"
 
 
 def suite_conv_oracle():
@@ -113,7 +114,7 @@ def suite_affine_exactness():
     rng = np.random.default_rng(16)
     for _ in range(50):
         g0 = make_grid(4, 16)
-        m = np.eye(2) + rng.uniform(-0.2, 0.2, size=(2, 2))
+        m = np.eye(2) + rng.uniform(-0.25, 0.25, size=(2, 2))
         tvec = rng.uniform(-0.3, 0.3, size=2)
         targets = g0.base @ m.T + tvec
         g = g0.with_offsets(targets - g0.base)
@@ -188,7 +189,7 @@ def suite_warp():
     _check(np.abs(warp(src, ident) - src).max() <= 1e-6, "identity warp not a passthrough")
     worst = 0.0
     for _ in range(100):
-        coords = rng.uniform(-1, 1, size=(12, 2))
+        coords = rng.uniform(-1.2, 1.2, size=(12, 2))
         grid = SamplingGrid(3, 4, coords)
         border = "zeros" if rng.integers(2) else "clamp"
         got = warp(src, grid, border=border)
@@ -231,13 +232,13 @@ def suite_persistence():
         tensors = {f"t{i:02d}": rng.standard_normal(
             tuple(rng.integers(1, 5, size=rng.integers(1, 5)))).astype(np.float32)
             for i in range(20)}
-        w = network.WeightStore(tensors)
         p1 = os.path.join(tmp, "a.tpsw")
         p2 = os.path.join(tmp, "b.tpsw")
-        fileio.save_weights(w, p1)
-        fileio.save_weights(fileio.load_weights(p1), p2)
-        with open(p1, "rb") as f1, open(p2, "rb") as f2:
-            _check(f1.read() == f2.read(), "TPSW roundtrip not bit-identical")
+        for w in (network.init_weights(1), network.WeightStore(tensors)):  # fuzz the last
+            fileio.save_weights(w, p1)
+            fileio.save_weights(fileio.load_weights(p1), p2)
+            with open(p1, "rb") as f1, open(p2, "rb") as f2:
+                _check(f1.read() == f2.read(), "TPSW roundtrip not bit-identical")
         img = synth.make_stripe_image(1)
         ip1 = os.path.join(tmp, "a.pgm")
         ip2 = os.path.join(tmp, "b.pgm")
@@ -261,7 +262,7 @@ def suite_persistence():
                 fileio.load_weights(bad)
             except TpsError:
                 pass
-    return "TPSW + PGM roundtrips bit-identical; 1000 corruptions handled"
+    return "TPSW (manifest, random) + PGM roundtrips bit-identical; 1000 corruptions handled"
 
 
 def suite_synthetic_rectification():
@@ -272,7 +273,10 @@ def suite_synthetic_rectification():
     after = synth.straightness(out)
     _check(after <= 0.5 * before,
            f"straightness {after:.3f} not halved from {before:.3f}")
-    return f"stripe deviation {before:.2f} -> {after:.2f} px"
+    again, _ = rectify_map(synth.make_stripe_image(7), grid, None, 0.5, 1.0, 32, 128,
+                           border="clamp")
+    _check(np.array_equal(out, again), "a second run on a fresh image differs")
+    return f"stripe deviation {before:.2f} -> {after:.2f} px, deterministic"
 
 
 def suite_kernel_values():
@@ -303,20 +307,23 @@ SUITES = [
 ]
 
 
-def run_all(out=print):
-    """Run every suite; return True iff all pass."""
+def run_suite(fn):
+    """Run one suite; return (passed, detail, seconds). A crash is a failure, not an abort."""
+    start = time.perf_counter()
+    try:
+        ok, detail = True, fn()
+    except SelfTestFailure as exc:
+        ok, detail = False, str(exc)
+    except Exception as exc:
+        ok, detail = False, f"{type(exc).__name__}: {exc}"
+    return ok, detail, time.perf_counter() - start
+
+
+def run_all():
+    """Run every suite, printing one verdict line each; return True iff all pass."""
     all_ok = True
     for name, fn in SUITES:
-        start = time.perf_counter()
-        try:
-            detail = fn()
-            ok = True
-        except SelfTestFailure as exc:
-            detail = str(exc)
-            ok = False
-        except Exception as exc:  # a crash is a failure, not an abort
-            detail = f"{type(exc).__name__}: {exc}"
-            ok = False
+        ok, detail, seconds = run_suite(fn)
         all_ok &= ok
-        out(f"[{'PASS' if ok else 'FAIL'}] {name:<24} {time.perf_counter() - start:6.2f}s  {detail}")
+        print(f"[{'PASS' if ok else 'FAIL'}] {name:<24} {seconds:6.2f}s  {detail}")
     return all_ok

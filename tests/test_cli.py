@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pydantic_core import from_json
 
-from tpspp import cli, errors, fileio, network, synth
+from tpspp import cli, errors, fileio, network, selftest, synth
 from tpspp.cli import main
 from tpspp.errors import DegenerateGridError, ShapeError, ValidationError
 from tpspp.rectify import rectify_with_network
@@ -369,6 +369,37 @@ class TestInspect:
         p = tmp_path / "w.tpsw"
         p.write_bytes(b"junkjunk")
         assert run("inspect", "--weights", str(p)) == 2
+
+
+class TestSelftest:
+    def test_every_suite_listed_once(self):
+        names, fns = zip(*selftest.SUITES)
+        defined = [fn for name, fn in vars(selftest).items() if name.startswith("suite_")]
+        assert len(set(names)) == len(names)
+        assert len(fns) == len(defined) and set(fns) == set(defined)
+
+    def test_all_pass_exit_0(self, capsys):
+        assert run("selftest") == cli.EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(selftest.SUITES) and all(ln.startswith("[PASS] ") for ln in lines)
+
+    def test_failure_and_crash_exit_1_and_later_suites_run(self, monkeypatch, capsys):
+        def fails():
+            selftest._check(False, "planted failure")
+
+        def crashes():
+            raise ZeroDivisionError("planted crash")
+
+        monkeypatch.setattr(selftest, "SUITES", [
+            ("fails", fails), ("crashes", crashes), ("passes", lambda: "ran")])
+        assert run("selftest") == cli.EXIT_SELFTEST
+        out = capsys.readouterr()
+        fail, crash, passed = out.out.splitlines()
+        assert fail.startswith("[FAIL] fails") and fail.endswith("planted failure")
+        assert crash.startswith("[FAIL] crashes")
+        assert crash.endswith("ZeroDivisionError: planted crash")
+        assert passed.startswith("[PASS] passes") and passed.endswith("ran")
+        assert out.err == ""
 
 
 # every class of tpspp.errors, found by introspection so a class added later is covered, and

@@ -6,6 +6,7 @@ import struct
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -188,6 +189,19 @@ class TestImages:
         t = fileio.load_image(p)
         assert abs(float(t[0, 0, 0]) - 1.0) <= 1e-6
         assert t[0, 0, 1] == 0.0
+
+    def test_p3_trailing_samples_not_split(self, tmp_path):
+        # a 1x1 image followed by 1,000,000 samples it does not read: only three are split off
+        p = tmp_path / "a.ppm"
+        p.write_bytes(b"P3\n1 1\n255\n" + b"0 " * 1_000_000)
+        tracemalloc.start()
+        try:
+            t = fileio.load_image(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert t.shape == (1, 1, 1) and t[0, 0, 0] == 0.0
+        assert peak < 4 * p.stat().st_size
 
     def test_comments_in_header(self, tmp_path):
         p = tmp_path / "a.pgm"
