@@ -122,7 +122,8 @@ def load_image(path):
     channels = 3 if magic in (b"P6", b"P3") else 1
     n = width * height * channels
     if magic == b"P3":
-        values = data[end:].split(None, n)[:n]  # the unread tail stays one piece
+        # the unread tail stays one piece; no file holds more samples than bytes
+        values = data[end:].split(None, min(n, len(data)))[:n]
         if len(values) < n:
             raise FormatError(f"P3 payload has {len(values)} samples, need {n}")
         if not all(map(bytes.isdigit, values)):

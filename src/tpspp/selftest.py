@@ -307,23 +307,17 @@ SUITES = [
 ]
 
 
-def run_suite(fn):
-    """Run one suite; return (passed, detail, seconds). A crash is a failure, not an abort."""
-    start = time.perf_counter()
-    try:
-        ok, detail = True, fn()
-    except SelfTestFailure as exc:
-        ok, detail = False, str(exc)
-    except Exception as exc:
-        ok, detail = False, f"{type(exc).__name__}: {exc}"
-    return ok, detail, time.perf_counter() - start
-
-
 def run_all():
     """Run every suite, printing one verdict line each; return True iff all pass."""
     all_ok = True
     for name, fn in SUITES:
-        ok, detail, seconds = run_suite(fn)
+        start = time.perf_counter()
+        try:
+            ok, detail = True, fn()
+        except SelfTestFailure as exc:
+            ok, detail = False, str(exc)
+        except Exception as exc:  # a crash is a failure, not an abort
+            ok, detail = False, f"{type(exc).__name__}: {exc}"
         all_ok &= ok
-        print(f"[{'PASS' if ok else 'FAIL'}] {name:<24} {seconds:6.2f}s  {detail}")
+        print(f"[{'PASS' if ok else 'FAIL'}] {name:<24} {time.perf_counter() - start:6.2f}s  {detail}")
     return all_ok

@@ -378,10 +378,11 @@ class TestSelftest:
         assert len(set(names)) == len(names)
         assert len(fns) == len(defined) and set(fns) == set(defined)
 
-    def test_all_pass_exit_0(self, capsys):
+    def test_all_pass_exit_0(self, monkeypatch, capsys):
+        monkeypatch.setattr(selftest, "SUITES", [("one", lambda: "1 ok"), ("two", lambda: "2 ok")])
         assert run("selftest") == cli.EXIT_OK
-        lines = capsys.readouterr().out.splitlines()
-        assert len(lines) == len(selftest.SUITES) and all(ln.startswith("[PASS] ") for ln in lines)
+        one, two = capsys.readouterr().out.splitlines()
+        assert one.startswith("[PASS] one") and two.startswith("[PASS] two")
 
     def test_failure_and_crash_exit_1_and_later_suites_run(self, monkeypatch, capsys):
         def fails():

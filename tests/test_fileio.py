@@ -271,9 +271,12 @@ class TestImages:
         (b"P5 2 1 256\n\x00\xff", "only maxval 255"),
         (b"P3 1 1 255\n+1 2 3\n", "non-numeric P3 sample"),
         (b"P3 1 1 255\n1 2_0 3\n", "non-numeric P3 sample"),
-        (b"P3 1 1 255\n1 2 256\n", "out of range")],
+        (b"P3 1 1 255\n1 2 256\n", "out of range"),
+        (b"P3 99999999999 99999999999 255 0\n", "P3 payload has 1 samples"),
+        (b"P6 99999999999 99999999999 255 \x00", "binary payload has 1 bytes")],
         ids=["plus", "underscore", "glued-comment", "comment-to-eof", "comment-ending-early",
-             "P1", "P2", "p5", "maxval-256", "p3-plus", "p3-underscore", "p3-256"])
+             "P1", "P2", "p5", "maxval-256", "p3-plus", "p3-underscore", "p3-256",
+             "p3-11-digit-extents", "p6-11-digit-extents"])
     def test_header_rejected(self, tmp_path, blob, message):
         p = tmp_path / "a.pnm"
         p.write_bytes(blob)
