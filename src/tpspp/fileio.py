@@ -166,8 +166,11 @@ def save_image(t, path):
 
 def export_grid_json(grid, attention, path, lam=DEFAULT_LAMBDA, beta=DEFAULT_BETA):
     """Write grid + attention as JSON; attention may be None (all-zero). A lam or beta that is
-    not one finite real number raises ValidationError before the file is opened."""
+    not one finite real number, or attention with no rows or other than K columns, raises
+    ValidationError before the file is opened."""
     lam, beta = real_scalar(lam, "lambda"), real_scalar(beta, "beta")
+    if attention is not None and (attention.m_locations == 0 or attention.k_points != grid.k):
+        raise ValidationError(f"attention shape {attention.scores.shape} needs rows and K={grid.k}")
     doc = {
         "rows": grid.rows,
         "cols": grid.cols,

@@ -103,11 +103,11 @@ class ClassicTps:
         r2 = (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2
         return 0.0 if r2 == 0.0 else r2 * math.log(r2)
 
-    def map_many(self, points):
-        """Vectorized evaluation of f at an (N, 2) batch of points."""
+    def map_many(self, points, factors=1.0):
+        """Vectorized f at an (N, 2) batch of points, each kernel term U(|p_n - c_k|) * factors."""
         points = np.asarray(points, dtype=np.float64)
         d = points[:, None, :] - self.sources[None, :, :]
-        u = kernel_u(np.sqrt((d * d).sum(axis=2)))
+        u = kernel_u(np.sqrt((d * d).sum(axis=2))) * factors
         affine = self.coef[0] + points @ self.coef[1:3]
         return affine + u @ self.coef[3:]
 

@@ -2,8 +2,11 @@
 
 Each suite re-checks one documented contract against an independent
 oracle or closed-form expectation. All randomness is seeded, so a pass
-or failure is reproducible. These suites are the one home of the
-acceptance criteria: `tests/test_acceptance.py` runs them by name.
+or failure is reproducible. The suites are the one home of the paper's
+invariants, the lam * a + beta reweighting among them
+(`attention-reweighting`), and of the acceptance criteria:
+`tests/test_acceptance.py` runs them by name. `tests/` holds what they
+do not check, such as input handling, edge cases and properties.
 """
 
 import time
@@ -47,7 +50,7 @@ def suite_solver_oracle():
     worst = 0.0
     for _ in range(100):
         m = rng.standard_normal((10, 10)) + 10.0 * np.eye(10)
-        rhs = rng.standard_normal((10, 2))
+        rhs = rng.standard_normal((10, 3))
         x = tensor.solve_linear(m, rhs)
         ref = oracles.gauss_solve_full_pivot(m, rhs)
         worst = max(worst, float(np.abs(x - ref).max()))
@@ -128,25 +131,37 @@ def suite_affine_exactness():
     return "50 random affine motions reproduced, kernel weights <= 1e-6"
 
 
-def suite_lambda_zero():
-    rng = np.random.default_rng(17)
+def _worst_vs_classic_tps(seed, lam_beta):
+    """Worst distance of map_point from the ClassicTps oracle, its kernel terms times
+    lam * a + beta, over 200 random grids x 100 points; lam_beta(rng) draws each grid's pair."""
+    rng = np.random.default_rng(seed)
     worst = 0.0
-    for i in range(200):
-        rows = int(rng.choice([2, 3, 4]))
-        cols = int(rng.choice([4, 8, 16]))
-        g = make_grid(rows, cols)
+    for _ in range(200):
+        g = make_grid(int(rng.choice([2, 3, 4])), int(rng.choice([4, 8, 16])))
         g = g.with_offsets(rng.uniform(-0.1, 0.1, size=(g.k, 2)))
-        t = solve_transform(g, lam=0.0, beta=1.0)
+        lam, beta = lam_beta(rng)
+        t = solve_transform(g, lam=lam, beta=beta)
         oracle = oracles.ClassicTps(g.base, g.regressed)
         pts = rng.uniform(-1, 1, size=(100, 2))
         att = rng.uniform(-0.95, 0.95, size=(100, g.k))
-        got = np.array([map_point(p, t, att[j]) for j, p in enumerate(pts)])
-        ref = oracle.map_many(pts)
-        if i == 0:  # spot-check the batch evaluation against its scalar form
-            _check(np.abs(ref[0] - oracle(pts[0])).max() <= 1e-12, "oracle batch != scalar")
-        worst = max(worst, float(np.abs(got - ref).max()))
+        got = np.array([map_point(p, t, a) for p, a in zip(pts, att)])
+        worst = max(worst, float(np.abs(got - oracle.map_many(pts, lam * att + beta)).max()))
+    # spot-check the batch evaluation against its scalar form
+    _check(np.abs(oracle.map_many(pts[:1])[0] - oracle(pts[0])).max() <= 1e-12,
+           "oracle batch != scalar")
+    return worst
+
+
+def suite_lambda_zero():
+    worst = _worst_vs_classic_tps(17, lambda rng: (0.0, 1.0))
     _check(worst <= 1e-9, f"lambda=0 mapping differs from classic TPS by {worst:.3e}")
     return f"200 triples x 100 points, worst diff {worst:.2e}"
+
+
+def suite_attention_reweighting():
+    worst = _worst_vs_classic_tps(22, lambda rng: (rng.uniform(-2.0, 2.0), rng.uniform(0.5, 1.5)))
+    _check(worst <= 1e-9, f"U * (lam * a + beta) mapping differs from the oracle by {worst:.3e}")
+    return f"200 grids x 100 points, lam in [-2,2], beta in [0.5,1.5], worst diff {worst:.2e}"
 
 
 def suite_attention_inertness():
@@ -169,12 +184,12 @@ def suite_continuity():
     eps = 1e-4
     g = make_grid(4, 16).with_offsets(rng.uniform(-0.1, 0.1, size=(64, 2)))
     t0 = solve_transform(g)
-    pts = rng.uniform(-1, 1, size=(20, 2))
+    pts = rng.uniform(-1, 1, size=(30, 2))
     zero = np.zeros(64)
     bound = 10.0 * eps * g.k
-    for idx in (0, 17, 63):
+    for idx, axis in [(i, a) for i in (0, 17, 63) for a in (0, 1)]:  # perturb x, then y
         off = np.array(g.offsets)
-        off[idx, 0] += eps
+        off[idx, axis] += eps
         t1 = solve_transform(g.with_offsets(off))
         for p in pts:
             delta = np.abs(map_point(p, t1, zero) - map_point(p, t0, zero)).max()
@@ -213,8 +228,8 @@ def suite_network_shapes():
     _check(att.scores.shape == (1024, 64), f"attention shape {att.scores.shape}")
     _check(np.abs(att.scores).max() < 1.0, "attention scores not strictly inside (-1,1)")
     pair2, grid2, att2 = network.rectification_forward(img, w)
-    _check(np.array_equal(pair.f_d, pair2.f_d) and np.array_equal(att.scores, att2.scores),
-           "forward pass not bit-deterministic")
+    for a, b in ((pair.f_d, pair2.f_d), (grid.offsets, grid2.offsets), (att.scores, att2.scores)):
+        _check(np.array_equal(a, b), "forward pass not bit-deterministic")
     return "32x128 -> f_e 64x4x16, f_d 64x16x64, A 1024x64 in (-1,1), deterministic"
 
 
@@ -280,9 +295,10 @@ def suite_synthetic_rectification():
 
 
 def suite_kernel_values():
-    u = kernel_between(np.array([[0.0, 0.0], [1.0, 0.0], [np.sqrt(np.e), 0.0]]), np.zeros((1, 2)))
-    _check(u[0, 0] == u[1, 0] == 0.0, "U(0) or U(1) != 0")
-    _check(abs(u[2, 0] - np.e) <= 1e-12, "U(sqrt(e)) != e")
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, -1.0], [np.sqrt(np.e), 0.0], [0.0, 2.0]])
+    u = kernel_between(pts, np.zeros((1, 2)))[:, 0]  # U(r) at r = 0, 1, 1, sqrt(e), 2
+    _check(np.all(u[:3] == 0.0), "U(0) or U(1) != 0")
+    _check(np.abs(u[3:] - [np.e, 4.0 * np.log(4.0)]).max() <= 1e-12, "U(sqrt(e)) or U(2) wrong")
     s = build_kernel_matrix(make_grid(4, 16))
     _check(np.array_equal(s, s.T) and np.all(np.diag(s) == 0), "kernel matrix asymmetric")
     return "closed-form values and exact symmetry"
@@ -297,6 +313,7 @@ SUITES = [
     ("interpolation", suite_interpolation),
     ("affine-exactness", suite_affine_exactness),
     ("lambda-zero-reduction", suite_lambda_zero),
+    ("attention-reweighting", suite_attention_reweighting),
     ("attention-inertness", suite_attention_inertness),
     ("continuity", suite_continuity),
     ("warp", suite_warp),

@@ -41,7 +41,7 @@ def frozen_real_array(value, field, dtype):
     """real_array(value) as a read-only C-contiguous `dtype` array that no caller can write to.
     A conversion, or an array that is read-only already, is kept; a writeable ndarray that
     needs no conversion is copied, so freezing never reaches the caller's own array."""
-    arr = np.ascontiguousarray(real_array(value, field), dtype=dtype)
+    arr = np.asarray(real_array(value, field), dtype=dtype, order="C")  # a 0-d value stays 0-d
     if arr.flags.writeable and isinstance(value, np.ndarray) and np.may_share_memory(arr, value):
         arr = arr.copy()
     return read_only(arr)

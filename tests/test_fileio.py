@@ -52,14 +52,15 @@ class TestWeights:
         blob = p.read_bytes()
         assert blob.index(b"a") < blob.index(b"z")
 
-    # a store the reader would reject: rank 5, a zero extent (a WeightStore holds no name
+    # a store the reader would reject: rank 0 or 5, a zero extent (a WeightStore holds no name
     # that TPSW cannot encode)
     @pytest.mark.parametrize("name, arr", [
-        ("r5", np.ones((1, 1, 1, 1, 2))), ("empty", np.ones((3, 0)))],
-        ids=["rank-5", "zero-extent"])
+        ("r0", np.float32(2.5)), ("r5", np.ones((1, 1, 1, 1, 2))), ("empty", np.ones((3, 0)))],
+        ids=["rank-0", "rank-5", "zero-extent"])
     def test_unreadable_store_not_written(self, tmp_path, name, arr):
         p = tmp_path / "w.tpsw"
         store = network.WeightStore({name: arr})
+        assert store[name].shape == np.shape(arr)  # the store keeps the rank it was given
         with pytest.raises(FormatError, match=re.escape(repr(name))):
             fileio.save_weights(store, p)
         assert not p.exists()
@@ -385,13 +386,16 @@ class TestGridJson:
         _, att, _, _ = fileio.import_grid_json(p)
         assert att is None
 
-    @pytest.mark.parametrize("field", ["lam", "beta"])
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), "x"])
-    def test_export_rejects_what_import_rejects(self, tmp_path, field, bad):
+    @pytest.mark.parametrize("attention, kwargs", [
+        *(pytest.param(None, {field: bad}, id=f"{bad}-{field}")
+          for field in ("lam", "beta") for bad in (float("nan"), float("inf"), "x")),
+        pytest.param(AttentionMatrix(np.zeros((100, 3))), {}, id="attention-not-k-cols"),
+        pytest.param(AttentionMatrix(np.zeros((0, 4))), {}, id="attention-no-rows")])
+    def test_export_rejects_what_import_rejects(self, tmp_path, attention, kwargs):
         # checked before the file is opened, so no file is left for import to reject
         p = tmp_path / "g.json"
         with pytest.raises(ValidationError):
-            fileio.export_grid_json(make_grid(2, 2), None, p, **{field: bad})
+            fileio.export_grid_json(make_grid(2, 2), attention, p, **kwargs)
         assert not p.exists()
 
     def test_export_writes_numpy_scalars_as_floats(self, tmp_path):

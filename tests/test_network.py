@@ -180,17 +180,6 @@ class TestContracts:
         assert grid.offsets.shape == (64, 2)
         assert att.scores.shape == (1024, 64)
 
-    def test_determinism(self, weights, image):
-        a = network.rectification_forward(image, weights)
-        b = network.rectification_forward(image, weights)
-        assert np.array_equal(a[0].f_d, b[0].f_d)
-        assert np.array_equal(a[1].offsets, b[1].offsets)
-        assert np.array_equal(a[2].scores, b[2].scores)
-
-    def test_parameter_count_bracket(self):
-        n = network.rectifier_parameter_count()
-        assert 2e5 <= n <= 1e6
-
     @pytest.mark.parametrize("bad", [np.array(["0.1"]), np.array([0.1j]), np.array([True])],
                              ids=["str", "complex", "bool"])
     def test_non_real_weights_rejected(self, bad):

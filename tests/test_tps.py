@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from tpspp import oracles, tensor, tps
 from tpspp.errors import DegenerateGridError, ShapeError, ValidationError
 from tpspp.rectify import rectify_map
-from tpspp.warp import map_point
 
 
 # a lambda or beta that is not one real number: each raises ValidationError
@@ -81,28 +80,6 @@ class TestMakeGrid:
         assert np.array_equal(tps.make_grid(rows, cols).base, tps.output_lattice(rows, cols))
 
 
-class TestKernelU:
-    """Closed-form values of U(r) = r^2 ln r^2 through kernel_between."""
-
-    @staticmethod
-    def u(r):
-        return tps.kernel_between(np.array([[r, 0.0]]), np.zeros((1, 2)))[0, 0]
-
-    def test_zero(self):
-        assert self.u(0.0) == 0.0
-
-    def test_one(self):
-        assert self.u(1.0) == 0.0
-
-    def test_sqrt_e(self):
-        assert abs(self.u(math.sqrt(math.e)) - math.e) <= 1e-12
-
-    def test_array_input(self):
-        out = tps.kernel_between(np.array([[0.0, 0.0], [0.0, -1.0], [2.0, 0.0]]), np.zeros((1, 2)))
-        assert out[0, 0] == 0.0 and out[1, 0] == 0.0
-        assert abs(out[2, 0] - 4.0 * math.log(4.0)) <= 1e-12
-
-
 @st.composite
 def kernel_cases(draw):
     """Points and centers at one scale in [1e-3, 1e3]; some points sit on a center, some
@@ -137,10 +114,6 @@ def test_kernel_between_matches_kernel_u(case):
 
 
 class TestKernelMatrix:
-    def test_zero_diagonal(self):
-        s = tps.build_kernel_matrix(tps.make_grid(3, 5))
-        assert np.all(np.diag(s) == 0.0)
-
     def test_unit_distance_entries(self):
         g = tps.make_grid(1, 2)  # points at (-1,0), (1,0), distance 2
         s = tps.build_kernel_matrix(g)
@@ -150,10 +123,6 @@ class TestKernelMatrix:
         s = tps.build_kernel_matrix(tps.make_grid(2, 2))
         # opposite corners at distance 2*sqrt(2): U = 8 ln 8
         assert abs(s[0, 3] - 8.0 * math.log(8.0)) <= 1e-10
-
-    def test_exact_symmetry(self):
-        s = tps.build_kernel_matrix(tps.make_grid(4, 16))
-        assert np.array_equal(s, s.T)
 
 
 class TestSolveTransform:
@@ -219,14 +188,6 @@ class TestSolveTransform:
         assert np.abs(t.t_matrix[:, 1:3] - np.eye(2)).max() <= 1e-7
         assert np.abs(t.t_matrix[:, 3:]).max() <= 1e-7
 
-    def test_interpolation_residual(self):
-        rng = np.random.default_rng(8)
-        g = tps.make_grid(4, 16).with_offsets(rng.uniform(-0.1, 0.1, size=(64, 2)))
-        t = tps.solve_transform(g)
-        zero = np.zeros(64)
-        for k in range(64):
-            assert np.abs(map_point(g.base[k], t, zero) - g.regressed[k]).max() <= 1e-6
-
     def test_side_conditions(self):
         rng = np.random.default_rng(9)
         g = tps.make_grid(4, 16).with_offsets(rng.uniform(-0.1, 0.1, size=(64, 2)))
@@ -234,17 +195,6 @@ class TestSolveTransform:
         w = t.t_matrix[:, 3:]
         for cond in (np.ones(64), g.base[:, 0], g.base[:, 1]):
             assert np.abs(w @ cond).max() <= 1e-6
-
-    def test_affine_exactness(self):
-        rng = np.random.default_rng(10)
-        g0 = tps.make_grid(4, 16)
-        m = np.array([[1.1, 0.05], [-0.02, 0.9]])
-        tv = np.array([0.07, -0.12])
-        g = g0.with_offsets(g0.base @ m.T + tv - g0.base)
-        t = tps.solve_transform(g)
-        assert np.abs(t.t_matrix[:, 3:]).max() <= 1e-6
-        for p in rng.uniform(-1, 1, size=(10, 2)):
-            assert np.abs(map_point(p, t, np.zeros(64)) - (m @ p + tv)).max() <= 1e-6
 
     def test_collinear_rejected(self):
         with pytest.raises(DegenerateGridError):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from tpspp import rectify, tensor, tps
 from tpspp.network import DecodedAttention
 from tpspp.errors import DegenerateGridError, ShapeError, ValidationError
-from tpspp.oracles import ClassicTps, bilinear_sample_scalar
+from tpspp.oracles import bilinear_sample_scalar
 from tpspp.rectify import (annotate_points, attention_for_lattice, deformation_grid_image,
                             rectify_map)
 from tpspp.warp import (LOCATION_BYTES, MAX_KERNEL_ENTRIES, MAX_LATTICE_BYTES, WARP_BLOCK_ENTRIES,
@@ -103,32 +103,6 @@ class TestMapPoint:
         with pytest.raises(ShapeError):
             map_point(np.zeros(3), t, np.zeros(64))
 
-    def test_identity_any_attention(self):
-        t = tps.solve_transform(tps.make_grid(4, 16))
-        rng = np.random.default_rng(4)
-        for _ in range(10):
-            p = rng.uniform(-1, 1, size=2)
-            att = rng.uniform(-0.95, 0.95, size=64)
-            assert np.abs(map_point(p, t, att) - p).max() <= 1e-6
-
-    def test_translation_any_attention(self):
-        g = tps.make_grid(4, 16).with_offsets(np.tile([0.1, -0.05], (64, 1)))
-        t = tps.solve_transform(g)
-        rng = np.random.default_rng(5)
-        for _ in range(10):
-            p = rng.uniform(-1, 1, size=2)
-            att = rng.uniform(-0.95, 0.95, size=64)
-            assert np.abs(map_point(p, t, att) - (p + [0.1, -0.05])).max() <= 1e-6
-
-    def test_lambda_zero_matches_classic_oracle(self):
-        g, t = random_transform(6, lam=0.0)
-        oracle = ClassicTps(g.base, g.regressed)
-        rng = np.random.default_rng(7)
-        pts = rng.uniform(-1, 1, size=(50, 2))
-        for p in pts:
-            att = rng.uniform(-0.9, 0.9, size=64)
-            assert np.abs(map_point(p, t, att) - oracle(p)).max() <= 1e-9
-
 
 class TestBuildSamplingGrid:
     def test_identity_lattice(self, zero_attention):
@@ -142,16 +116,6 @@ class TestBuildSamplingGrid:
         grid = build_sampling_grid(t, att, 16, 64)
         assert grid.coords.shape == (1024, 2)
         assert att.k_points == 64
-
-    def test_matches_per_point_mapping(self):
-        _, t = random_transform(9)
-        rng = np.random.default_rng(10)
-        att = AttentionMatrix(rng.uniform(-0.9, 0.9, size=(6 * 8, 64)))
-        grid = build_sampling_grid(t, att, 6, 8)
-        lattice = output_lattice(6, 8)
-        for m in range(48):
-            ref = map_point(lattice[m], t, att.scores[m])
-            assert np.abs(grid.coords[m] - ref).max() <= 1e-9
 
     def test_row_count_mismatch(self, zero_attention):
         _, t = random_transform(11)
@@ -423,19 +387,6 @@ class TestWarp:
         src = np.array([[[0.0, 1.0]]], dtype=np.float32)
         grid = SamplingGrid(1, 1, np.array([[0.0, 0.0]]))
         assert abs(float(warp(src, grid)[0, 0, 0]) - 0.5) <= 1e-6
-
-    def test_scalar_oracle(self):
-        rng = np.random.default_rng(13)
-        src = rng.uniform(0, 1, size=(1, 5, 7)).astype(np.float32)
-        for _ in range(100):
-            coords = rng.uniform(-1, 1, size=(8, 2))
-            grid = SamplingGrid(2, 4, coords)
-            out = warp(src, grid)
-            for m in range(8):
-                x = (coords[m, 0] + 1) / 2 * 6
-                y = (coords[m, 1] + 1) / 2 * 4
-                ref = bilinear_sample_scalar(src[0], x, y)
-                assert abs(float(out[0, m // 4, m % 4]) - ref) <= 1e-6
 
     def test_border_zeros_outside(self):
         src = np.ones((1, 4, 4), dtype=np.float32)
@@ -711,32 +662,3 @@ def test_blocked_sampling_grid_matches_one_gemm(sampling_coords_one_gemm, shape,
         assert [key[0] for key in tps._PLANS._arrays] == (["inverse", "lattice", "kernel"]
                                                           if cached else [])
     assert got.tobytes() == sampling_coords_one_gemm(t, att, out_h, out_w, rows).tobytes()
-
-
-class TestProperties:
-    def test_lambda_zero_equivalence_many(self):
-        rng = np.random.default_rng(14)
-        for _ in range(20):
-            rows = int(rng.choice([2, 3, 4]))
-            cols = int(rng.choice([4, 8, 16]))
-            g = tps.make_grid(rows, cols)
-            g = g.with_offsets(rng.uniform(-0.1, 0.1, size=(g.k, 2)))
-            t = tps.solve_transform(g, lam=0.0)
-            oracle = ClassicTps(g.base, g.regressed)
-            pts = rng.uniform(-1, 1, size=(20, 2))
-            att = rng.uniform(-0.9, 0.9, size=(20, g.k))
-            got = np.array([map_point(p, t, att[j]) for j, p in enumerate(pts)])
-            assert np.abs(got - oracle.map_many(pts)).max() <= 1e-9
-
-    def test_continuity_under_offset_perturbation(self):
-        rng = np.random.default_rng(15)
-        eps = 1e-4
-        g = tps.make_grid(4, 16).with_offsets(rng.uniform(-0.1, 0.1, size=(64, 2)))
-        t0 = tps.solve_transform(g)
-        off = np.array(g.offsets)
-        off[20, 1] += eps
-        t1 = tps.solve_transform(g.with_offsets(off))
-        zero = np.zeros(64)
-        for p in rng.uniform(-1, 1, size=(30, 2)):
-            delta = np.abs(map_point(p, t1, zero) - map_point(p, t0, zero)).max()
-            assert delta <= 10.0 * eps * g.k
