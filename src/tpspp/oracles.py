@@ -111,16 +111,6 @@ class ClassicTps:
         affine = self.coef[0] + points @ self.coef[1:3]
         return affine + u @ self.coef[3:]
 
-    def __call__(self, p):
-        p = np.asarray(p, dtype=np.float64)
-        out = np.zeros(2)
-        for d in range(2):
-            v = self.coef[0, d] + self.coef[1, d] * p[0] + self.coef[2, d] * p[1]
-            for k in range(self.sources.shape[0]):
-                v += self.coef[3 + k, d] * self._u(p, self.sources[k])
-            out[d] = v
-        return out
-
 
 def bilinear_sample_scalar(source, x, y, border="zeros"):
     """Four-neighbor interpolation of one (H, W) channel at (x, y) pixels."""

@@ -20,14 +20,15 @@ MAX_KERNEL_ENTRIES = 89_478_485
 LOCATION_BYTES = 48
 MAX_LATTICE_BYTES = 4 << 30
 
-# warp gathers at most this many entries per neighbor at once, and build_sampling_grid
+# warp gathers at most this many entries of all four neighbors at once, and build_sampling_grid
 # scales about as many float64 kernel entries per block: 256 KiB of float32 or 512 KiB of
-# float64, which stays in L2, e.g. 1024 output locations of a 64-channel map or of 64
+# float64, which stays in L2, e.g. 256 output locations of a 64-channel map, or 1024 of 64
 # control points
 WARP_BLOCK_ENTRIES = 1 << 16
 
 # warp computes the bilinear setup of this many output locations at once, five float64 or int64
-# arrays of 128 KiB and the four weights in the working dtype, and frees it before the next chunk
+# arrays of 128 KiB and an (n, 1, 4) array of weights in the working dtype, and frees it before
+# the next chunk
 WARP_CHUNK_LOCATIONS = 1 << 14
 
 
@@ -199,10 +200,12 @@ def warp(source, grid, border="zeros"):
     output is within about 6 * 2^-24 * max|source| of the exact bilinear value; an integer
     output is rounded to nearest, as the cast back to its type would truncate.
     Output locations are walked in chunks of WARP_CHUNK_LOCATIONS, whose per-location setup
-    (corner index, four weights) is computed once and freed before the next chunk; each
-    chunk is gathered in blocks of WARP_BLOCK_ENTRIES // C locations into two reused
-    (block, C) buffers, so the working set stays cache-sized and memory bounded whatever
-    the output size. The result is a strided (C, H, W) view of a channels-last (H*W, C) array.
+    (corner index, four weights as a (1, 4) row) is computed once and freed before the next
+    chunk; each chunk is sampled in blocks of WARP_BLOCK_ENTRIES // (4 * C) locations, at most
+    1024, each by one gather of the four neighbors' rows into a reused (block, 4, C) buffer
+    and one batched (1, 4) @ (4, C) matmul per location, so the working set stays cache-sized
+    and memory bounded whatever the output size. The result is a strided (C, H, W) view of a
+    channels-last (H*W, C) array.
     """
     source = check_source(source)
     if border not in ("zeros", "clamp"):
@@ -216,8 +219,8 @@ def warp(source, grid, border="zeros"):
                     mode="edge" if border == "clamp" else "constant").reshape(-1, c)
     m = grid.coords.shape[0]
     out = np.empty((m, c), dtype=source.dtype)
-    step = min(max(1, WARP_BLOCK_ENTRIES // c), WARP_CHUNK_LOCATIONS, m)
-    gathered, acc = np.empty((step, c), work), np.empty((step, c), work)
+    step = min(max(1, WARP_BLOCK_ENTRIES // (4 * c)), 1024, m)
+    gathered, acc = np.empty((step, 4, c), work), np.empty((step, 1, c), work)
     for start in range(0, m, WARP_CHUNK_LOCATIONS):
         chunk = slice(start, start + WARP_CHUNK_LOCATIONS)
         _warp_chunk(framed, grid.coords[chunk], out[chunk], h, w, lo, gathered, acc)
@@ -238,20 +241,18 @@ def _warp_chunk(framed, coords, out, h, w, lo, gathered, acc):
     xs -= x0  # xs, ys: the fractions fx, fy; gx, gy: 1 - fx, 1 - fy, in x0's and y0's place
     ys -= y0
     gx, gy = np.subtract(1.0, xs, out=x0), np.subtract(1.0, ys, out=y0)
-    weights = np.empty((4, len(coords)), framed.dtype)  # each rounded to the working dtype once
-    for wgt, a, b in zip(weights, (gx, xs, gx, xs), (gy, gy, ys, ys)):
+    weights = np.empty((len(coords), 1, 4), framed.dtype)  # each rounded to the working dtype once
+    for wgt, a, b in zip(weights[:, 0].T, (gx, xs, gx, xs), (gy, gy, ys, ys)):
         np.multiply(a, b, out=wgt, casting="unsafe")
-    # the table from a neighbor's offset on holds that neighbor at the corner's index, which
-    # is in range by construction, so mode="clip" never clips: it only skips numpy's buffering
-    neighbors = list(zip((framed, framed[1:], framed[w + 2:], framed[w + 3:]), weights))
+    # the four neighbors of a corner are in range by construction, so mode="clip" never
+    # clips: it only skips numpy's buffering
     for start in range(0, len(coords), len(acc)):
         n = min(len(acc), len(coords) - start)
         rows = slice(start, start + n)
-        acc[:n] = 0.0
-        for table, wgt in neighbors:
-            np.take(table, corner[rows], axis=0, out=gathered[:n], mode="clip")
-            gathered[:n] *= wgt[rows, None]
-            acc[:n] += gathered[:n]
+        np.take(framed, corner[rows, None] + (0, 1, w + 2, w + 3), axis=0, out=gathered[:n],
+                mode="clip")
         if out.dtype.kind in "iu":
-            np.rint(acc[:n], out=acc[:n])
-        out[rows] = acc[:n]
+            np.matmul(weights[rows], gathered[:n], out=acc[:n])
+            out[rows] = np.rint(acc[:n, 0], out=acc[:n, 0])
+        else:
+            np.matmul(weights[rows], gathered[:n], out=out[rows, None])

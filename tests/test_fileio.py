@@ -241,8 +241,9 @@ class TestImages:
         (np.array([[np.nan, 0.5], [np.inf, -np.inf]]), ValidationError),
         (np.array([["0.5"]]), ValidationError),
         (np.zeros((1, 0, 3)), FormatError),
-        (np.zeros((3, 0), np.float32), FormatError)],
-        ids=["non-finite", "str", "zero-height", "zero-width"])
+        (np.zeros((3, 0), np.float32), FormatError),
+        (np.zeros((3, 4, 4)), FormatError)],
+        ids=["non-finite", "str", "zero-height", "zero-width", "three-channels"])
     def test_unwritable_map_rejected_before_the_file_is_opened(self, tmp_path, t, error):
         p = tmp_path / "a.pgm"
         with pytest.raises(error):
@@ -274,10 +275,11 @@ class TestImages:
         (b"P3 1 1 255\n1 2_0 3\n", "non-numeric P3 sample"),
         (b"P3 1 1 255\n1 2 256\n", "out of range"),
         (b"P3 99999999999 99999999999 255 0\n", "P3 payload has 1 samples"),
-        (b"P6 99999999999 99999999999 255 \x00", "binary payload has 1 bytes")],
+        (b"P6 99999999999 99999999999 255 \x00", "binary payload has 1 bytes"),
+        (b"P5 0 3 255\n", "bad image extents")],
         ids=["plus", "underscore", "glued-comment", "comment-to-eof", "comment-ending-early",
              "P1", "P2", "p5", "maxval-256", "p3-plus", "p3-underscore", "p3-256",
-             "p3-11-digit-extents", "p6-11-digit-extents"])
+             "p3-11-digit-extents", "p6-11-digit-extents", "zero-width"])
     def test_header_rejected(self, tmp_path, blob, message):
         p = tmp_path / "a.pnm"
         p.write_bytes(blob)

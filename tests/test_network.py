@@ -173,12 +173,10 @@ class TestAipe:
 
 class TestContracts:
     def test_full_chain_shapes(self, weights, image):
-        pair, grid, att = network.rectification_forward(image, weights)
-        assert pair.f_e.shape == (64, 4, 16)
-        assert pair.f_d.shape == (64, 16, 64)
+        # the feature and attention shapes are the network-shapes suite's
+        _, grid, _ = network.rectification_forward(image, weights)
         assert (grid.rows, grid.cols) == (4, 16) and grid.base is output_lattice(4, 16)
         assert grid.offsets.shape == (64, 2)
-        assert att.scores.shape == (1024, 64)
 
     @pytest.mark.parametrize("bad", [np.array(["0.1"]), np.array([0.1j]), np.array([True])],
                              ids=["str", "complex", "bool"])

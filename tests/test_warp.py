@@ -526,6 +526,17 @@ class TestWarp:
             ref = [bilinear_sample_scalar(src[ch], px, py, border) for ch in range(64)]
             assert np.max(np.abs(out[:, m] - ref)) <= bound, m
 
+    @pytest.mark.parametrize("c", [1, 64])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_negative_zero_source_warps_to_positive_zero(self, dtype, c):
+        # each location's four-term sum starts from +0.0, which a sum of -0.0 terms keeps
+        src = np.full((c, 5, 7), -0.0, dtype)
+        rng = np.random.default_rng(24)
+        coords = np.concatenate([output_lattice(5, 7), rng.uniform(-1.2, 1.2, (265, 2))])
+        for border in ("zeros", "clamp"):
+            out = warp(src, SamplingGrid(1, 300, coords), border=border)
+            assert out.dtype == dtype and not np.signbit(out).any()
+
     def test_unknown_border(self):
         src = np.zeros((1, 2, 2), dtype=np.float32)
         grid = SamplingGrid(1, 1, np.zeros((1, 2)))

@@ -20,7 +20,12 @@ The set covers the paper's full path and the network-free one:
   `aipe.offset2`, on stripe images at out-sizes 32x128, 16x64, 32x32, 8x128;
 - `rectify_map` on a 64-channel float32 map at 16x64, 32x128, 64x256 and
   65x257, whose warp ends one chunk of locations into a partial block, with
-  null and decoded scores, under both borders;
+  null and decoded scores, under both borders. The warp samples blocks of
+  2^16 // (4*C) locations, at most 1024 (256 at 64 channels), each by one
+  four-neighbour gather and one batched (1, 4) @ (4, C) matmul: BLAS sums
+  each location's four products, so a float `.warped` line follows its
+  summation order, while a float32 output stays within 6*2^-24*max|source|
+  of the exact bilinear value;
 - `rectify_map` on a 4-channel float64 map and on a 4-channel uint8 map at
   65x257, with null and decoded scores, under both borders: the warped
   outputs alone, of the sources the warp samples in float64 (a float32 map
