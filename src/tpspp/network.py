@@ -194,7 +194,6 @@ def _avgpool2x2(x):
 
 def cbam_forward(x, w):
     """Channel gate then spatial gate, both multiplicative."""
-    x = np.asarray(x)
 
     def mlp(v):
         h = tensor.relu(_linear(v[None, :], w["msfa.cbam.mlp1.weight"], w["msfa.cbam.mlp1.bias"]))
@@ -213,9 +212,6 @@ def cbam_forward(x, w):
 
 def msfa_forward(bundle, w):
     """Encoder-decoder aggregation of the three backbone maps."""
-    if bundle.f1.shape != (32, 32, 128) or bundle.f2.shape != (64, 16, 64) \
-            or bundle.f3.shape != (96, 16, 64):
-        raise ShapeError(f"unexpected bundle shapes {bundle.f1.shape}, {bundle.f2.shape}, {bundle.f3.shape}")
     a1 = _avgpool2x2(_conv(bundle.f1, w, "msfa.align1"))
     a2 = _conv(bundle.f2, w, "msfa.align2")
     a3 = _conv(bundle.f3, w, "msfa.align3")
@@ -246,10 +242,7 @@ def dgab_forward(pair, w):
     sigmoid importance weight, softmax-normalized over channels,
     broadcast back, summed, and multiplied into the raw f_d.
     """
-    f_d = np.asarray(pair.f_d)
-    f_e = np.asarray(pair.f_e)
-    if f_d.shape != (D, DEC_H, DEC_W) or f_e.shape != (D, ENC_H, ENC_W):
-        raise ShapeError(f"unexpected pair shapes {f_e.shape}, {f_d.shape}")
+    f_d, f_e = pair.f_d, pair.f_e
     fe_seq = _encoded_sequence(f_e)  # K x D
 
     def branch(summary, name):
@@ -270,7 +263,7 @@ def dgab_forward(pair, w):
 
 def aipe_forward(pair, w):
     """Regress the ENC_H x ENC_W control grid's offsets and the attention score matrix."""
-    fe_seq = _encoded_sequence(np.asarray(pair.f_e))  # K x D
+    fe_seq = _encoded_sequence(pair.f_e)  # K x D
 
     h = tensor.relu(_linear(fe_seq, w["aipe.offset1.weight"], w["aipe.offset1.bias"]))
     offsets = _linear(h, w["aipe.offset2.weight"], w["aipe.offset2.bias"])  # K x 2

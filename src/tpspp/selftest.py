@@ -4,7 +4,9 @@ Each suite re-checks one documented contract against an independent
 oracle or closed-form expectation. All randomness is seeded, so a pass
 or failure is reproducible. The suites are the one home of the paper's
 invariants, the lam * a + beta reweighting among them
-(`attention-reweighting`), and of the acceptance criteria:
+(`attention-reweighting`), of the network path's hand-off of its regressed
+grid and decoded scores to the sampling grid (`network-rectification`), and
+of the acceptance criteria:
 `tests/test_acceptance.py` runs them by name. `tests/` holds what they
 do not check, such as input handling, edge cases and properties.
 """
@@ -15,7 +17,7 @@ import numpy as np
 
 from . import fileio, network, oracles, synth, tensor
 from .errors import TpsError
-from .rectify import rectify_map
+from .rectify import rectify_map, rectify_with_network
 from .tps import (build_kernel_matrix, interpolation_system, kernel_between, make_grid,
                   output_lattice, solve_transform)
 from .warp import SamplingGrid, map_point, warp
@@ -230,6 +232,36 @@ def suite_network_shapes():
     return "32x128 -> f_e 64x4x16, f_d 64x16x64, A 1024x64 in (-1,1), deterministic"
 
 
+def _network_rectification_error(extents):
+    """Worst distance of rectify_with_network's sampling coordinates from map_point over the
+    regressed grid and each location's decoded score row (floor(i*16/h), floor(j*64/w)), on
+    h x w output lattices. init_weights(3) with N(0, 0.02) noise on aipe.offset2, whose zeros
+    would regress the identity, so that a slip in the grid or the scores handed on shows."""
+    rng = np.random.default_rng(3)
+    weights = network.WeightStore({k: v + rng.normal(0, 0.02, v.shape)
+                                   if k.startswith("aipe.offset2") else v
+                                   for k, v in network.init_weights(3).items()})
+    img = synth.make_stripe_image(3)
+    worst = 0.0
+    for h, w in extents:
+        _, sampling, regressed, att = rectify_with_network(img, weights, make_grid(4, 16),
+                                                           0.5, 1.0, h, w)
+        _check(np.any(regressed.offsets != 0.0), "the perturbed offset head regressed zeros")
+        t = solve_transform(regressed, 0.5, 1.0)
+        scores = att.scores.reshape(network.DEC_H, network.DEC_W, -1)
+        want = [map_point(p, t, scores[i * network.DEC_H // h, j * network.DEC_W // w])
+                for (i, j), p in zip(np.ndindex(h, w), output_lattice(h, w))]
+        worst = max(worst, float(np.abs(sampling.coords - np.array(want)).max()))
+    return worst
+
+
+def suite_network_rectification():
+    # 32x32 has as many locations as the decoded lattice, yet reads the nearest decoded row
+    worst = _network_rectification_error([(16, 64), (32, 128), (32, 32)])
+    _check(worst <= 1e-12, f"network sampling grid differs from map_point by {worst:.3e}")
+    return f"16x64, 32x128, 32x32 vs map_point on the regressed grid, worst diff {worst:.2e}"
+
+
 def suite_parameter_count():
     n = network.rectifier_parameter_count()
     _check(2e5 <= n <= 1e6, f"parameter count {n} outside [2e5, 1e6]")
@@ -315,6 +347,7 @@ SUITES = [
     ("continuity", suite_continuity),
     ("warp", suite_warp),
     ("network-shapes", suite_network_shapes),
+    ("network-rectification", suite_network_rectification),
     ("parameter-count", suite_parameter_count),
     ("persistence", suite_persistence),
     ("synthetic-rectification", suite_synthetic_rectification),
