@@ -7,7 +7,6 @@ TPSW layout (all integers u32 little-endian, floats IEEE-754 f32 LE):
     name_len | name (UTF-8) | rank | dims[rank] | payload f32 * prod(dims)
 """
 
-import gc
 import json
 import math
 import re
@@ -186,23 +185,7 @@ def export_grid_json(grid, attention, path, lam=DEFAULT_LAMBDA, beta=DEFAULT_BET
 
 def import_grid_json(path):
     """Load and validate (grid, attention, lambda, beta) from JSON; attention is None when the
-    file stores null (treated as all-zero by callers choosing their own output lattice).
-
-    The cyclic collector pauses until the parsed tree, one list per attention row and no cycle,
-    is freed: else each 700 rows start a collection that walks it. The caller's state returns on
-    every exit. The switch is process-wide: an import beside another thread's may still pay for
-    collections (slower, not wrong), and a thread's gc.disable() during it may be undone.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return _read_grid_json(path)  # the tree dies with this call's frame on return
-    finally:
-        if enabled:
-            gc.enable()
-
-
-def _read_grid_json(path):
+    file stores null (treated as all-zero by callers choosing their own output lattice)."""
     from pydantic_core import from_json  # here: it imports asyncio, which only this reader needs
 
     with open(path, "rb") as fh:

@@ -28,14 +28,17 @@ def exit_code(*argv):
         return exc.code
 
 
-UNUSABLE_PATHS = ["under-a-file", "name-too-long"]
+UNUSABLE_PATHS = ["under-a-file", "name-too-long", "missing"]
 
 
 def unusable_path(tmp_path, kind):
-    """A path with a regular file as a directory component, or a name too long to open."""
+    """A path with a regular file as a directory component, a name too long to open, or a path
+    under a directory that does not exist."""
     if kind == "under-a-file":
         (tmp_path / "plain").write_bytes(b"")
         return str(tmp_path / "plain" / "x.pgm")
+    if kind == "missing":
+        return str(tmp_path / "absent" / "x.pgm")
     return str(tmp_path / ("x" * 300 + ".pgm"))
 
 
@@ -145,10 +148,6 @@ class TestRectify:
         fileio.export_grid_json(make_grid(1, 4), None, pts)
         assert run("rectify", "--image", str(stripe), "--points", str(pts),
                    "--out", str(tmp_path / "o.pgm")) == 3
-
-    def test_missing_image(self, tmp_path):
-        assert run("rectify", "--image", str(tmp_path / "none.pgm"), "--points", "x",
-                   "--out", str(tmp_path / "o.pgm")) == 2
 
     def test_out_size(self, tmp_path, stripe):
         pts = tmp_path / "pts.json"

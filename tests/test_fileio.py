@@ -1,11 +1,9 @@
-import gc
 import json
 import os
 import re
 import struct
 import subprocess
 import sys
-import threading
 import tracemalloc
 from pathlib import Path
 
@@ -471,83 +469,6 @@ class TestGridJson:
         assert main(["rectify", "--image", str(image), "--points", str(points),
                      "--out", str(tmp_path / "o.pgm")]) == 2
         assert not (tmp_path / "o.pgm").exists()
-
-
-@pytest.fixture
-def collector():
-    """The collector enabled for the test, and its state on entry restored after it."""
-    enabled = gc.isenabled()
-    gc.enable()
-    yield
-    (gc.enable if enabled else gc.disable)()
-
-
-@pytest.fixture
-def many_rows(tmp_path):
-    """A points file with enough attention rows, one list each, to start several collections."""
-    p = tmp_path / "many.json"
-    p.write_bytes(_points_doc(attention=[[0.25] * 4] * max(4096, 3 * gc.get_threshold()[0])))
-    return p
-
-
-class TestCollectorPause:
-    def test_no_collection_during_parse(self, collector, many_rows):
-        starts = []
-
-        def on_gc(phase, info):
-            if phase == "start":
-                starts.append(info["generation"])
-
-        gc.callbacks.append(on_gc)
-        try:
-            fileio.import_grid_json(many_rows)
-        finally:
-            gc.callbacks.remove(on_gc)
-        assert starts == []
-
-    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
-    @pytest.mark.parametrize("blob, error", [
-        pytest.param(_points_doc(), None, id="valid"),
-        pytest.param(b"{not json", FormatError, id="invalid-json"),
-        pytest.param(_points_doc(rows="abc"), ValidationError, id="rows-string"),
-        pytest.param(None, OSError, id="missing-file"),
-    ])
-    def test_caller_state_restored(self, collector, tmp_path, blob, error, enabled):
-        p = tmp_path / "g.json"
-        if blob is not None:
-            p.write_bytes(blob)
-        if not enabled:
-            gc.disable()
-        if error is None:
-            fileio.import_grid_json(p)
-        else:
-            with pytest.raises(error):
-                fileio.import_grid_json(p)
-        assert gc.isenabled() is enabled
-
-    def test_concurrent_imports_agree(self, collector, many_rows):
-        """Two threads import one file 20 times each. The switch is process-wide, so an import
-        that overlaps another may still pay for collections: slower, but correct. A caller
-        thread that disables the collector during another thread's import may have it
-        re-enabled."""
-        grid, att, lam, beta = fileio.import_grid_json(many_rows)
-        results = [[], []]
-
-        def work(out):
-            for _ in range(20):
-                out.append(fileio.import_grid_json(many_rows))
-
-        threads = [threading.Thread(target=work, args=(out,)) for out in results]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert gc.isenabled()
-        assert [len(out) for out in results] == [20, 20]
-        for g, a, lm, b in results[0] + results[1]:
-            assert (g.rows, g.cols, lm, b) == (grid.rows, grid.cols, lam, beta)
-            assert np.array_equal(g.offsets, grid.offsets)
-            assert np.array_equal(a.scores, att.scores)
 
 
 def test_import_leaves_json_parser_unloaded():

@@ -130,14 +130,6 @@ class TestDgab:
         out = network.dgab_forward(pair, w)
         assert np.abs(out - np.asarray(pair.f_d) / 64.0).max() <= 1e-6
 
-    def test_hand_executed_toy_shape(self):
-        # same arithmetic on a 2-channel 2x2 toy, checked by hand:
-        # every merged entry is 2 * sigmoid(0) * softmax(0) = 0.5 over D=2
-        f_d = np.arange(8, dtype=np.float32).reshape(2, 2, 2)
-        s = 2.0 * 0.5 * 0.5
-        assert s == 0.5
-        assert np.abs(f_d * s - f_d / 2.0).max() == 0.0
-
     def test_golden_checksum(self, weights, pair):
         assert sha(network.dgab_forward(pair, weights)) == GOLDEN_DGAB
 
